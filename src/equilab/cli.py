@@ -17,7 +17,6 @@ from . import __version__
 from .common import BudgetExhausted, GraphError, Verdict, make_budget
 from .corpus import connected_triangle_free_graphs, random_connected_triangle_free
 from .equicert import (
-    AffineSolutionSpace,
     EmptyPolytope,
     ForcedValueCertificate,
     NotForced,
@@ -194,12 +193,18 @@ def cmd_analyze(args) -> int:
                 stab = stable_system(col, budget)
                 props["equistable"] = _verdict_json(
                     col, decide_equi_exact(stab, seed=args.seed), stab)
-                if args.strong:
-                    props["strongly_equistable"] = _verdict_json(
-                        col, strong_check(stab), stab)
             except BudgetExhausted as exc:
                 props["equistable"] = {"value": "unknown", "note": str(exc)}
                 exhausted = True
+            else:
+                if args.strong:
+                    try:
+                        props["strongly_equistable"] = _verdict_json(
+                            col, strong_check(stab), stab)
+                    except BudgetExhausted as exc:
+                        props["strongly_equistable"] = {"value": "unknown",
+                                                        "note": str(exc)}
+                        exhausted = True
             tc = triangle_condition(col, budget)
             props["triangle_condition"] = _verdict_json(col, tc)
             gp = general_partition(col, budget)
@@ -235,12 +240,10 @@ def _emit_text(report: dict, indent: str = "") -> None:
 
 def _resolve_targets(g, tokens):
     """Interpret targets as edge names (star system) or vertex labels
-    (stable-set system)."""
-    try:
-        eids = [find_edge_by_name(g, t) for t in tokens]
+    (stable-set system).  An edge name that spells two edges is an error."""
+    eids = [find_edge_by_name(g, t, missing_ok=True) for t in tokens]
+    if None not in eids:
         return star_system(g), tuple(eids)
-    except GraphError:
-        pass
     pos = {lab: i for i, lab in enumerate(g.labels)}
     missing = [t for t in tokens if t not in pos]
     if missing:

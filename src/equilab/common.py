@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 DEFAULT_ENUMERATION_BUDGET = 10**7
-DEFAULT_SUBSET_BUDGET = 2**24
 DEFAULT_STRONG_GROUND_LIMIT = 16
 DEFAULT_EXHAUSTIVE_GROUND_LIMIT = 24
 

@@ -1,23 +1,23 @@
 """Test corpora: exhaustive enumeration of small connected bipartite and
 triangle-free graphs up to isomorphism, plus seeded random samplers for
-spot checks at sizes where exhaustion is hopeless."""
+spot checks at sizes where exhaustion is hopeless.
+
+Isomorph rejection buckets candidates by a cheap invariant and runs the
+exact backtracking test only against the representatives in the same
+bucket (the first step of McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998)."""
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from .common import GraphError
 from .graphs import Graph, make_graph
+from .transforms import is_isomorphic
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(i + 1) for i in range(n))
-
-
-def _from_bits(n: int, pairs, bits: int) -> Graph:
-    edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
-    return make_graph(_default_labels(n), edges)
 
 
 def _is_connected(n: int, edges) -> bool:
@@ -38,41 +38,48 @@ def _is_connected(n: int, edges) -> bool:
     return len(seen) == n
 
 
+def _refinement_key(g: Graph) -> tuple:
+    """Isomorphism invariant: n, m and the sorted vertex signatures of two
+    rounds of colour refinement.  A vertex's signature is its colour followed
+    by the sorted colours of its neighbours; colours start as degrees and are
+    then relabelled to the ranks of the signatures, so the key is built from
+    ints alone and does not depend on hash randomisation."""
+    colours = [g.degree(v) for v in range(g.n)]
+    key: list = [g.n, g.m]
+    for _ in range(2):
+        sigs = [
+            (colours[v],) + tuple(sorted(colours[w] for w in g.adjacency[v]))
+            for v in range(g.n)
+        ]
+        key.append(tuple(sorted(sigs)))
+        rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        colours = [rank[s] for s in sigs]
+    return tuple(key)
+
+
+def _is_new_class(g: Graph, buckets: dict[tuple, list[Graph]]) -> bool:
+    """Record g as the representative of its isomorphism class unless an
+    isomorphic graph is already among the representatives in its bucket."""
+    reps = buckets.setdefault(_refinement_key(g), [])
+    if any(is_isomorphic(g, h) is not None for h in reps):
+        return False
+    reps.append(g)
+    return True
+
+
 # ---------------------------------------------------------------------------
-# connected bipartite graphs up to isomorphism (biadjacency canonical form)
-
-def _biadjacency_canonical(a: int, b: int, rows: tuple[int, ...]) -> tuple:
-    """Minimum, over column permutations (and transposition when square), of
-    the sorted row-bitmask tuple of an a x b biadjacency matrix."""
-
-    def best_of(rows_in: tuple[int, ...], width: int) -> tuple:
-        best = None
-        for perm in itertools.permutations(range(width)):
-            permuted = tuple(sorted(
-                sum(((r >> j & 1) << i) for i, j in enumerate(perm))
-                for r in rows_in
-            ))
-            if best is None or permuted < best:
-                best = permuted
-        return best
-
-    cand = best_of(rows, b)
-    if a == b:
-        cols = tuple(
-            sum(((rows[i] >> j & 1) << i) for i in range(a)) for j in range(b)
-        )
-        cand = min(cand, best_of(cols, a))
-    return (a, b) + cand
-
+# connected bipartite graphs up to isomorphism
 
 def connected_bipartite_graphs(max_n: int):
     """All connected bipartite graphs on 2..max_n vertices without isolated
-    vertices, one per isomorphism class.  Desk scale: max_n <= 8."""
+    vertices, one per isomorphism class: the first candidate of each class
+    in enumeration order.  Desk scale: max_n <= 8."""
     if max_n > 9:
         raise GraphError("exhaustive bipartite enumeration capped at 9 vertices")
     out = []
-    seen: set[tuple] = set()
+    buckets: dict[tuple, list[Graph]] = {}
     for n in range(2, max_n + 1):
+        labels = _default_labels(n)
         for a in range(1, n // 2 + 1):
             b = n - a
             pairs = [(i, a + j) for i in range(a) for j in range(b)]
@@ -80,40 +87,25 @@ def connected_bipartite_graphs(max_n: int):
                 edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
                 if not _is_connected(n, edges):
                     continue
-                rows = tuple(
-                    sum(1 << j for j in range(b) if (i, a + j) in set(edges))
-                    for i in range(a)
-                )
-                key = _biadjacency_canonical(a, b, rows)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(make_graph(_default_labels(n), edges))
+                g = make_graph(labels, edges)
+                if _is_new_class(g, buckets):
+                    out.append(g)
     return out
 
 
 # ---------------------------------------------------------------------------
-# connected triangle-free graphs up to isomorphism (permutation-min form)
-
-def _canonical_edges(n: int, edge_set: frozenset) -> tuple:
-    best = None
-    for perm in itertools.permutations(range(n)):
-        mapped = tuple(sorted(
-            (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edge_set
-        ))
-        if best is None or mapped < best:
-            best = mapped
-    return (n,) + best
-
+# connected triangle-free graphs up to isomorphism
 
 def connected_triangle_free_graphs(max_n: int):
     """All connected triangle-free graphs on 2..max_n vertices, one per
-    isomorphism class.  Desk scale: max_n <= 7 (permutation canonicalizer)."""
+    isomorphism class: the first candidate of each class in enumeration
+    order.  Desk scale: max_n <= 7."""
     if max_n > 7:
         raise GraphError("exhaustive triangle-free enumeration capped at 7 vertices")
     out = []
-    seen: set[tuple] = set()
+    buckets: dict[tuple, list[Graph]] = {}
     for n in range(2, max_n + 1):
+        labels = _default_labels(n)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for bits in range(1, 1 << len(pairs)):
             edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
@@ -125,11 +117,9 @@ def connected_triangle_free_graphs(max_n: int):
                 continue
             if not _is_connected(n, edges):
                 continue
-            key = _canonical_edges(n, frozenset(edges))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(make_graph(_default_labels(n), edges))
+            g = make_graph(labels, edges)
+            if _is_new_class(g, buckets):
+                out.append(g)
     return out
 
 

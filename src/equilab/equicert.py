@@ -26,11 +26,10 @@ from .common import (
     DEFAULT_STRONG_GROUND_LIMIT,
     GraphError,
     Verdict,
-    make_budget,
     no,
     yes,
 )
-from .exactla import dot, nullspace, solve_exact
+from .exactla import nullspace, solve_exact
 from .graphs import Graph, enumerate_maximal_stable_sets
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_optimize
 

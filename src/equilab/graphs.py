@@ -11,9 +11,9 @@ from __future__ import annotations
 import functools
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .common import Budget, BudgetExhausted, GraphError, make_budget
+from .common import Budget, GraphError, make_budget
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,25 @@ def find_edge(g: Graph, u: int, v: int, missing_ok: bool = False) -> int | None:
     return edge_index(g)[key]
 
 
-def find_edge_by_name(g: Graph, name: str) -> int:
-    """Resolve an element name of the form '<label>-<label>' to an edge id."""
+def find_edge_by_name(g: Graph, name: str, missing_ok: bool = False) -> int | None:
+    """Resolve an element name of the form '<label>-<label>' to an edge id.
+
+    Labels may contain '-', so one name can spell two different edges
+    (a-b c and a b-c are both 'a-b-c'); such a name raises GraphError."""
+    matches = []
     for eid in range(g.m):
         lu, lv = g.edge_labels(eid)
         if name in (f"{lu}-{lv}", f"{lv}-{lu}"):
-            return eid
-    raise GraphError(f"unknown edge {name!r}")
+            matches.append(eid)
+    if not matches:
+        if missing_ok:
+            return None
+        raise GraphError(f"unknown edge {name!r}")
+    if len(matches) > 1:
+        raise GraphError(
+            f"ambiguous edge {name!r}: matches edges "
+            f"{g.edge_labels(matches[0])} and {g.edge_labels(matches[1])}")
+    return matches[0]
 
 
 # ---------------------------------------------------------------------------

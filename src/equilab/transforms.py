@@ -89,9 +89,9 @@ def is_isomorphic(g: Graph, h: Graph, budget: Budget | int | None = None):
     """
     if g.n != h.n or g.m != h.m:
         return None
-    if sorted(_neighbor_degree_key(g, v) for v in range(g.n)) != sorted(
-        _neighbor_degree_key(h, v) for v in range(h.n)
-    ):
+    profile_g = [_neighbor_degree_key(g, v) for v in range(g.n)]
+    profile_h = [_neighbor_degree_key(h, v) for v in range(h.n)]
+    if sorted(profile_g) != sorted(profile_h):
         return None
     budget = make_budget(budget)
     gm = adjacency_masks(g)
@@ -100,7 +100,7 @@ def is_isomorphic(g: Graph, h: Graph, budget: Budget | int | None = None):
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     keys_h: dict[tuple, list[int]] = {}
     for v in range(h.n):
-        keys_h.setdefault(_neighbor_degree_key(h, v), []).append(v)
+        keys_h.setdefault(profile_h[v], []).append(v)
     mapping = [-1] * g.n
     used = [False] * h.n
 
@@ -109,8 +109,7 @@ def is_isomorphic(g: Graph, h: Graph, budget: Budget | int | None = None):
         if i == g.n:
             return True
         v = order[i]
-        key = _neighbor_degree_key(g, v)
-        for w in keys_h.get(key, ()):
+        for w in keys_h.get(profile_g[v], ()):
             if used[w]:
                 continue
             ok = True

@@ -111,6 +111,13 @@ def small_bipartite_corpus():
 
 
 @pytest.fixture(scope="session")
+def bipartite8():
+    from equilab.corpus import connected_bipartite_graphs
+
+    return connected_bipartite_graphs(8)
+
+
+@pytest.fixture(scope="session")
 def triangle_free_corpus():
     from equilab.corpus import connected_triangle_free_graphs
 

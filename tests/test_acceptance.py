@@ -16,7 +16,6 @@ import pytest
 
 from equilab.common import Verdict
 from equilab.corpus import (
-    connected_bipartite_graphs,
     connected_triangle_free_graphs,
     random_connected_bipartite,
 )
@@ -71,11 +70,6 @@ def report(num, ok, detail=""):
     with _capture.disabled():
         print(f"ACCEPTANCE {num}: {status} {detail}".rstrip())
     assert ok, detail
-
-
-@pytest.fixture(scope="module")
-def bipartite8():
-    return connected_bipartite_graphs(8)
 
 
 def test_criterion_1_bipartite_equivalence(bipartite8):

@@ -59,6 +59,17 @@ class TestAnalyze:
     def test_bad_descriptor_exit_2(self, capsys):
         assert main(["analyze", "gallery:cycle(2)"]) == 2
 
+    def test_strong_limit_keeps_decided_equistable(self, capsys):
+        # the co-line of C17 has 17 elements, above the strong-check limit;
+        # that limit must not discard the equistable verdict already decided
+        code, out = run(capsys, ["analyze", "gallery:cycle(17)", "--strong",
+                                 "--with-co-line"])
+        assert code == 3
+        props = json.loads(out)["properties"]
+        assert props["equistable"]["value"] == "no"
+        assert props["strongly_equistable"]["value"] == "unknown"
+        assert "strong-check limit" in props["strongly_equistable"]["note"]
+
     def test_determinism(self, capsys):
         _, first = run(capsys, ["analyze", "gallery:graph_h", "--strong", "--seed", "3"])
         _, second = run(capsys, ["analyze", "gallery:graph_h", "--strong", "--seed", "3"])
@@ -96,6 +107,12 @@ class TestCertify:
 
     def test_unknown_labels_exit_2(self, capsys):
         assert main(["certify", "gallery:cycle(4)", "--target", "9-9"]) == 2
+
+    def test_ambiguous_edge_name_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "dashes.edges"
+        path.write_text("a-b c\na b-c\n")
+        assert main(["certify", str(path), "--target", "a-b-c"]) == 2
+        assert "ambiguous edge 'a-b-c'" in capsys.readouterr().err
 
 
 class TestGallery:

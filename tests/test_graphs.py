@@ -76,6 +76,12 @@ class TestParsing:
         with pytest.raises(GraphError):
             find_edge_by_name(g, "a-c")
 
+    def test_ambiguous_edge_name_names_both_edges(self):
+        g = parse_edge_list("a-b c\na b-c\n")
+        with pytest.raises(GraphError, match=r"ambiguous.*'a-b', 'c'.*'a', 'b-c'"):
+            find_edge_by_name(g, "a-b-c")
+        assert g.edge_labels(find_edge_by_name(g, "c-a-b")) == ("a-b", "c")
+
 
 class TestComponentsBipartition:
     def test_components_of_union(self):
