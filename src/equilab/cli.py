@@ -37,7 +37,7 @@ from .equicert import (
 from .graphs import (
     Bipartition,
     bipartition,
-    components,
+    component_count,
     find_edge_by_name,
     format_edge_list,
     generate,
@@ -156,7 +156,7 @@ def cmd_analyze(args) -> int:
             "m": g.m,
             "bipartite": isinstance(bipartition(g), Bipartition),
             "triangle_free": is_triangle_free(g)[0],
-            "components": components(g).component_count,
+            "components": component_count(g),
         },
         "properties": {},
     }

@@ -624,13 +624,24 @@ def certificate_to_json(s: SetSystem, cert: ForcedValueCertificate) -> dict:
 def certificate_from_json(s: SetSystem, obj) -> ForcedValueCertificate:
     if obj.get("type") != "forced_value":
         raise GraphError("not a forced-value certificate")
-    name_pos = {}
+    # Star-system elements are edges 'u-v'; labels may contain '-', so the
+    # reversed name 'v-u' is registered for every split point.  A name that
+    # resolves to two elements is rejected rather than guessed.
+    name_pos: dict[str, set[int]] = {}
     for i, nm in enumerate(s.element_names):
-        name_pos[nm] = i
-        if "-" in nm:
-            a, _, b = nm.partition("-")
-            name_pos[f"{b}-{a}"] = i
-    target = tuple(sorted(name_pos[nm] for nm in obj["target"]))
+        aliases = {nm}
+        if s.source == "stars":
+            aliases.update(f"{nm[j + 1:]}-{nm[:j]}" for j, ch in enumerate(nm) if ch == "-")
+        for alias in aliases:
+            name_pos.setdefault(alias, set()).add(i)
+    target = []
+    for nm in obj["target"]:
+        pos = name_pos.get(nm, set())
+        if len(pos) != 1:
+            raise GraphError(f"unknown element {nm!r}" if not pos else
+                             f"ambiguous element {nm!r}: names elements {sorted(pos)}")
+        target.extend(pos)
+    target = tuple(sorted(target))
     coeffs = [Fraction(0)] * len(s.family)
     for entry in obj["coefficients"]:
         coeffs[entry["member"]] = Fraction(entry["num"], entry["den"])

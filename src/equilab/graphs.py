@@ -8,7 +8,6 @@ lifetime of a Graph value.  Graphs are immutable.
 
 from __future__ import annotations
 
-import functools
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -78,18 +77,29 @@ def graph_from_label_pairs(pairs, extra_vertices=()) -> Graph:
     return make_graph(labels, [(order[lu], order[lv]) for lu, lv in pairs])
 
 
-@functools.lru_cache(maxsize=256)
+# Derived lookup maps are built on first use and stored in the graph's
+# instance dict, as functools.cached_property would but without the lock it
+# takes on Python 3.11, so they are freed with the graph.  They are not
+# fields, so equality and hashing ignore them.
+
 def edge_index(g: Graph) -> dict[tuple[int, int], int]:
-    return {e: i for i, e in enumerate(g.edges)}
+    """Map from sorted id pair to edge id, built once per graph."""
+    idx = g.__dict__.get("_edge_index")
+    if idx is None:
+        idx = g.__dict__["_edge_index"] = {e: i for i, e in enumerate(g.edges)}
+    return idx
 
 
-@functools.lru_cache(maxsize=256)
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return tuple(masks)
+    """Neighbour bitmask of each vertex, built once per graph."""
+    masks = g.__dict__.get("_adjacency_masks")
+    if masks is None:
+        bits = [0] * g.n
+        for u, v in g.edges:
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
+        masks = g.__dict__["_adjacency_masks"] = tuple(bits)
+    return masks
 
 
 def find_edge(g: Graph, u: int, v: int, missing_ok: bool = False) -> int | None:
@@ -175,22 +185,33 @@ class ComponentDecomposition:
     edges: tuple[tuple[int, ...], ...]
 
 
-def components(g: Graph) -> ComponentDecomposition:
-    """Breadth-first component labeling; ids ordered by smallest member vertex."""
+def _component_labels(g: Graph) -> tuple[list[int], int]:
+    """Component id of every vertex, ids ordered by smallest member vertex,
+    and the number of components."""
+    adj = g.adjacency
     comp = [-1] * g.n
     cid = 0
     for s in range(g.n):
         if comp[s] >= 0:
             continue
         comp[s] = cid
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
+        stack = [s]
+        while stack:
+            for w in adj[stack.pop()]:
                 if comp[w] < 0:
                     comp[w] = cid
-                    queue.append(w)
+                    stack.append(w)
         cid += 1
+    return comp, cid
+
+
+def component_count(g: Graph) -> int:
+    return _component_labels(g)[1]
+
+
+def components(g: Graph) -> ComponentDecomposition:
+    """Component labeling; ids ordered by smallest member vertex."""
+    comp, cid = _component_labels(g)
     verts: list[list[int]] = [[] for _ in range(cid)]
     for v in range(g.n):
         verts[comp[v]].append(v)

@@ -1,7 +1,13 @@
 """Matching machinery: maximum bipartite matching, saturating matchings with
 Hall-violator witnesses, the alternating-component merge of two matchings,
 matchings covering a prescribed vertex set, perfect internal matchings, and
-k-/k-internal-extendability for k in {1, 2}."""
+k-/k-internal-extendability for k in {1, 2}.
+
+On a bipartite graph, k-internal extendability is a sweep over one graph: one
+base perfect internal matching is computed, and for each k-matching a copy of
+it loses the base edges at the k-matching's endpoints and is repaired by at
+most 2k alternating paths that avoid those endpoints.  All augmenting and
+repairing goes through `_augment`."""
 
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ from .graphs import (
     Bipartition,
     Graph,
     bipartition as compute_bipartition,
-    components,
+    component_count,
     find_edge,
     induced_subgraph,
 )
@@ -95,8 +101,12 @@ def check_hall_violator(g: Graph, hv: HallViolator, within: frozenset[int] | Non
 # ---------------------------------------------------------------------------
 # augmenting-path machinery (bipartite)
 
-def _augment(g: Graph, match: list[int], start: int) -> bool:
-    """One BFS-layered augmenting-path search from `start`; smallest-id order."""
+def _augment(g: Graph, match: list[int], start: int,
+             avoid: frozenset[int] = frozenset(), leaf_ends: bool = False) -> bool:
+    """One BFS-layered alternating-path search from the exposed vertex
+    `start`, in smallest-id order, that never enters `avoid`; the path found
+    is flipped.  It ends at an exposed vertex or, with `leaf_ends`, at a
+    matched leaf, which the flip leaves uncovered."""
     parent: dict[int, int] = {}
     frontier = [start]
     seen = {start}
@@ -104,23 +114,25 @@ def _augment(g: Graph, match: list[int], start: int) -> bool:
         nxt: list[int] = []
         for u in sorted(frontier):
             for w in g.adjacency[u]:
-                if w in parent:
+                if w in parent or w in avoid:
                     continue
                 parent[w] = u
-                if match[w] < 0:
-                    # augment along the path
+                mw = match[w]
+                if mw < 0 or (leaf_ends and g.degree(mw) == 1):
+                    if mw >= 0:
+                        match[mw] = -1
                     v = w
                     while True:
                         u2 = parent[v]
                         prev = match[u2]
                         match[u2] = v
                         match[v] = u2
-                        if prev < 0 or u2 == start:
+                        if u2 == start:
                             return True
                         v = prev
-                if match[w] not in seen:
-                    seen.add(match[w])
-                    nxt.append(match[w])
+                if mw not in seen:
+                    seen.add(mw)
+                    nxt.append(mw)
         frontier = nxt
     return False
 
@@ -353,25 +365,81 @@ def _k_matchings(g: Graph, k: int):
             yield Matching(frozenset(combo))
 
 
+def _repair(g: Graph, base: list[int], m: Matching) -> bool:
+    """Whether the k-matching `m` extends to a perfect internal matching,
+    given one perfect internal matching `base` of bipartite g as a mate array.
+
+    The base edges at the fixed endpoints V(m) are removed; then, for each
+    exposed non-leaf, an alternating path avoiding V(m) is flipped.  This is
+    exact: if some matching N of g - V(m) covers every non-leaf, the component
+    of (current matching) xor N that starts at an exposed non-leaf is such a
+    path, ending at an exposed vertex or at a matched leaf."""
+    mate = list(base)
+    fixed = frozenset(v for eid in m.edge_ids for v in g.edges[eid])
+    exposed = []
+    for x in fixed:
+        y = mate[x]
+        if y >= 0:
+            mate[y] = -1
+            exposed.append(y)
+    for eid in m.edge_ids:
+        u, v = g.edges[eid]
+        mate[u], mate[v] = v, u
+    for s in sorted(exposed):
+        if mate[s] < 0 and g.degree(s) > 1:
+            if not _augment(g, mate, s, avoid=fixed, leaf_ends=True):
+                return False
+    _check_internal_mate(g, mate, m)
+    return True
+
+
+def _check_internal_mate(g: Graph, mate: list[int], m: Matching) -> None:
+    """The mate array is a matching of g containing m whose uncovered
+    vertices are all leaves."""
+    adj = g.adjacency
+    for v, w in enumerate(mate):
+        if w < 0:
+            if len(adj[v]) != 1:
+                raise AssertionError(f"uncovered vertex {v} is not a leaf")
+        elif mate[w] != v or w not in adj[v]:
+            raise AssertionError(f"mate of {v} is not a matched neighbour")
+    for eid in m.edge_ids:
+        u, v = g.edges[eid]
+        if mate[u] != v:
+            raise AssertionError("repaired matching drops a fixed edge")
+
+
 def is_k_internally_extendable(g: Graph, k: int, budget: Budget | int | None = None):
     """(bool, witness): every k-matching extends to a perfect internal matching.
 
     False witness: the lexicographically smallest non-extendable k-matching,
-    or the string 'no k-matching' when none exists.
+    or the string 'no k-matching' when none exists.  Bipartite graphs repair
+    one base perfect internal matching per k-matching; other graphs search
+    each extension exhaustively.
     """
     if k not in (1, 2):
         raise GraphError("k must be 1 or 2")
-    if components(g).component_count != 1:
+    if component_count(g) != 1:
         raise GraphError("graph must be connected")
     budget = make_budget(budget)
     b = compute_bipartition(g)
-    if not isinstance(b, Bipartition):
-        b = None
+    bipartite = isinstance(b, Bipartition)
+    mate = None
+    if bipartite:
+        base = extend_to_perfect_internal(g, Matching(frozenset()), b)
+        if isinstance(base, InternalMatching):
+            mate = [-1] * g.n
+            for eid in base.matching.edge_ids:
+                u, v = g.edges[eid]
+                mate[u], mate[v] = v, u
     any_matching = False
     for m in _k_matchings(g, k):
         any_matching = True
-        res = extend_to_perfect_internal(g, m, b, budget)
-        if not isinstance(res, InternalMatching):
+        if bipartite:
+            ok = mate is not None and _repair(g, mate, m)
+        else:
+            ok = isinstance(extend_to_perfect_internal(g, m, None, budget), InternalMatching)
+        if not ok:
             return False, m
     if not any_matching:
         return False, "no k-matching"
@@ -382,7 +450,7 @@ def is_k_extendable(g: Graph, k: int, budget: Budget | int | None = None):
     """(bool, witness): every k-matching extends to a perfect matching."""
     if k not in (1, 2):
         raise GraphError("k must be 1 or 2")
-    if components(g).component_count != 1:
+    if component_count(g) != 1:
         raise GraphError("graph must be connected")
     if g.n < 2 * k:
         raise GraphError("too few vertices")
@@ -402,7 +470,7 @@ def is_k_extendable(g: Graph, k: int, budget: Budget | int | None = None):
 def plummer_condition(g: Graph, b: Bipartition, k: int):
     """(bool, witness): |A| = |B| and |N(X)| >= |X| + k for every nonempty
     X within one side with |X| <= |A| - k.  Brute force over subsets."""
-    if components(g).component_count != 1:
+    if component_count(g) != 1:
         raise GraphError("graph must be connected")
     if g.n < 2 * k:
         raise GraphError("too few vertices")

@@ -22,6 +22,7 @@ from .graphs import (
     Bipartition,
     Graph,
     bipartition as compute_bipartition,
+    component_count,
     components,
     enumerate_maximal_cliques,
     enumerate_maximal_stable_sets,
@@ -145,36 +146,36 @@ def recognize_equistarable_bipartite(g: Graph, budget: Budget | int | None = Non
         raise GraphError("graph is not bipartite")
     cls = component_classification(g, budget)
     for tag in cls.tags:
-        if tag.kind == NEITHER and isinstance(tag.witness, Matching):
+        if tag.kind == NEITHER:
             return no(tag.witness)
-    if cls.all_good:
-        return yes(cls)
-    # a component without any 2-matching that is not a star cannot be
-    # bipartite, so reaching here would mean the classifier is broken
-    raise AssertionError("bipartite component lacks a 2-matching but is no star")
+    return yes(cls)
 
 
 def recognize_equistarable_forest(g: Graph) -> Verdict:
     """Linear-time recognition on forests: yes iff every degree-2 vertex has
     a leaf neighbor.  Witness: leaf-neighbor table (yes) or a five-path with
     degree-2 middle (no)."""
-    if any(g.degree(v) == 0 for v in range(g.n)):
+    adj = g.adjacency
+    if not all(adj):
         raise GraphError("isolated vertex")
-    if g.m != g.n - components(g).component_count:
+    if g.m != g.n - component_count(g):
         raise GraphError("graph has a cycle")
     table = []
-    for v in range(g.n):
-        if g.degree(v) != 2:
+    for v, nbrs in enumerate(adj):
+        if len(nbrs) != 2:
             continue
-        leaf = next((w for w in sorted(g.adjacency[v]) if g.degree(w) == 1), None)
-        if leaf is None:
-            x, y = sorted(g.adjacency[v])
-            v1 = next(w for w in sorted(g.adjacency[x]) if w != v)
-            v5 = next(w for w in sorted(g.adjacency[y]) if w != v)
+        # adjacency tuples are sorted, so x < y
+        x, y = nbrs
+        if len(adj[x]) == 1:
+            table.append((v, x))
+        elif len(adj[y]) == 1:
+            table.append((v, y))
+        else:
+            v1 = next(w for w in adj[x] if w != v)
+            v5 = next(w for w in adj[y] if w != v)
             witness = FivePath(vertices=(v1, x, v, y, v5))
             check_five_path(g, witness)
             return no(witness)
-        table.append((v, leaf))
     return yes({"leaf_neighbors": tuple(table)})
 
 

@@ -30,7 +30,7 @@ from equilab.equicert import (
     strong_check,
     verify_weighting,
 )
-from equilab.graphs import find_edge_by_name, generate, make_graph
+from equilab.graphs import find_edge_by_name, generate, make_graph, parse_edge_list
 from equilab.transforms import co_line, disjoint_union
 
 from conftest import oracle_maximal_stars, oracle_unit_subsets
@@ -295,6 +295,29 @@ class TestSerialization:
         obj["target"] = [f"{b}-{a}" for a, _, b in
                          (t.partition("-") for t in obj["target"])]
         assert certificate_from_json(s, obj) == cert
+
+    def test_vertex_names_are_not_reversed(self):
+        # C5 with vertex 1 named 'a-b' and vertex 3 named 'b-a': the
+        # certificate's target 'a-b' must stay vertex 1
+        g = generate("cycle(5)")
+        g = make_graph(("a-b", "2", "b-a", "4", "5"), g.edges)
+        s = stable_system(g)
+        cert = decide_equi_exact(s).witness
+        obj = certificate_to_json(s, cert)
+        assert "a-b" in obj["target"] and "b-a" not in obj["target"]
+        assert certificate_from_json(s, obj) == cert
+
+    def test_ambiguous_edge_name_rejected(self):
+        g = parse_edge_list("a-b c\na b-c\nc x\n")
+        s = star_system(g)
+        assert s.element_names.count("a-b-c") == 2
+        obj = {"type": "forced_value", "coefficients": [],
+               "value": {"num": 1, "den": 1}}
+        for name in ("a-b-c", "c-a-b", "b-c-a"):
+            with pytest.raises(GraphError, match="ambiguous"):
+                certificate_from_json(s, dict(obj, target=[name]))
+        with pytest.raises(GraphError, match="unknown"):
+            certificate_from_json(s, dict(obj, target=["a-x"]))
 
     def test_tampered_value_rejected(self):
         g = generate("cycle(6)")

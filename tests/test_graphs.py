@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,10 +10,13 @@ from equilab.graphs import (
     OddWalkWitness,
     bipartition,
     check_bipartition,
+    adjacency_masks,
     check_odd_walk,
+    component_count,
     components,
     enumerate_maximal_cliques,
     enumerate_maximal_stable_sets,
+    find_edge,
     find_edge_by_name,
     format_edge_list,
     generate,
@@ -54,6 +60,16 @@ class TestConstruction:
         assert g.labels == ("x", "y", "z", "w")
         assert g.degree(3) == 0
 
+    def test_lookup_maps_do_not_keep_graph_alive(self):
+        g = generate("cycle(6)")
+        assert find_edge(g, 5, 0) == g.edges.index((0, 5))
+        assert adjacency_masks(g)[0] == 0b100010
+        assert g == generate("cycle(6)")
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+
 
 class TestParsing:
     def test_round_trip(self):
@@ -87,7 +103,7 @@ class TestComponentsBipartition:
     def test_components_of_union(self):
         g = parse_edge_list("a b\nc d\nv e\n")
         dec = components(g)
-        assert dec.component_count == 3
+        assert dec.component_count == component_count(g) == 3
         assert dec.vertices == ((0, 1), (2, 3), (4,))
 
     def test_bipartition_of_even_cycle(self):

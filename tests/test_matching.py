@@ -1,13 +1,22 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import equilab.matching as matching
 from equilab.common import GraphError
-from equilab.graphs import Bipartition, bipartition, generate, make_graph, parse_edge_list
+from equilab.graphs import (
+    Bipartition,
+    bipartition,
+    component_count,
+    generate,
+    make_graph,
+    parse_edge_list,
+)
 from equilab.matching import (
     CoverFailure,
     HallViolator,
     InternalMatching,
     Matching,
+    _k_matchings,
     check_hall_violator,
     check_internal_matching,
     check_matching,
@@ -21,6 +30,7 @@ from equilab.matching import (
     plummer_condition,
     saturating_matching,
 )
+from equilab.recognizers import recognize_equistarable_bipartite
 
 from conftest import oracle_max_matching_size
 
@@ -35,6 +45,27 @@ def random_bipartite(draw, max_side=5):
     g = make_graph(tuple(str(i) for i in range(a + b)), picked)
     return g, Bipartition(side_a=frozenset(range(a)),
                           side_b=frozenset(range(a, a + b)))
+
+
+@st.composite
+def bipartite_with_leaves(draw):
+    """Connected random bipartite graph with up to four pendant leaves."""
+    g, _ = draw(random_bipartite())
+    hosts = draw(st.lists(st.integers(min_value=0, max_value=g.n - 1), max_size=4))
+    pairs = list(g.edges) + [(h, g.n + i) for i, h in enumerate(hosts)]
+    h = make_graph(tuple(str(i) for i in range(g.n + len(hosts))), pairs)
+    assume(all(h.adjacency) and component_count(h) == 1)
+    return h
+
+
+def reference_internal_extendability(g, k):
+    """The sweep's definition: one full extension per k-matching."""
+    any_matching = False
+    for m in _k_matchings(g, k):
+        any_matching = True
+        if not isinstance(extend_to_perfect_internal(g, m), InternalMatching):
+            return False, m
+    return (True, None) if any_matching else (False, "no k-matching")
 
 
 class TestMaxMatching:
@@ -152,6 +183,42 @@ class TestExtendability:
     def test_disconnected_rejected(self):
         with pytest.raises(GraphError):
             is_k_internally_extendable(generate("path(2)+path(2)"), 1)
+
+    def test_sweep_matches_reference_on_corpus(self, bipartite8):
+        for g in bipartite8:
+            for k in (1, 2):
+                assert (is_k_internally_extendable(g, k)
+                        == reference_internal_extendability(g, k)), (g.edges, k)
+
+    @given(bipartite_with_leaves())
+    @settings(max_examples=80, deadline=None)
+    def test_sweep_matches_reference_with_leaves(self, g):
+        for k in (1, 2):
+            assert is_k_internally_extendable(g, k) == reference_internal_extendability(g, k)
+
+    def test_kmn_plus_witness(self):
+        g = generate("kmn_plus(6,6)")
+        ok, wit = is_k_internally_extendable(g, 2)
+        assert not ok
+        assert sorted(g.edge_name(e) for e in wit.edge_ids) == ["a1-b1", "b2-l2"]
+
+    def test_one_extension_per_component(self, monkeypatch):
+        # the sweep repairs one base matching; rebuilding a subgraph and a
+        # full matching per 2-matching would call these ~10^3 times here
+        calls = {"extend_to_perfect_internal": 0, "induced_subgraph": 0}
+
+        def counted(name):
+            fn = getattr(matching, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(matching, name, counted(name))
+        g = generate("complete_bipartite(6,6)+cycle(4)")
+        assert recognize_equistarable_bipartite(g).is_yes
+        assert calls == {"extend_to_perfect_internal": 2, "induced_subgraph": 2}
 
     def test_k33_two_extendable(self):
         ok, _ = is_k_extendable(generate("complete_bipartite(3,3)"), 2)
