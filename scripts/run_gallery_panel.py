@@ -9,6 +9,7 @@ import argparse
 import sys
 import time
 
+from equilab.common import DEFAULT_STRONG_GROUND_LIMIT
 from equilab.equicert import decide_equi_exact, star_system, strong_check
 from equilab.graphs import generate, is_triangle_free
 from equilab.recognizers import is_p5_constrained
@@ -45,7 +46,7 @@ def main() -> int:
                f"{str(is_triangle_free(g)[0]):>8} "
                f"{is_p5_constrained(g).value:>4} {equi:>5}")
         if args.strong:
-            if s.ground_size <= 16:
+            if s.ground_size <= DEFAULT_STRONG_GROUND_LIMIT:
                 row += f" {strong_check(s).value:>7}"
             else:
                 row += f" {'skip':>7}"

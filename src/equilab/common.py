@@ -7,6 +7,8 @@ from dataclasses import dataclass
 DEFAULT_ENUMERATION_BUDGET = 10**7
 DEFAULT_STRONG_GROUND_LIMIT = 16
 DEFAULT_EXHAUSTIVE_GROUND_LIMIT = 24
+# the subset-sum join's ground-size ceiling: each half table has at most 2^20 entries
+JOIN_GROUND_LIMIT = 40
 
 
 class GraphError(ValueError):

@@ -6,6 +6,9 @@ engine decides whether a strictly positive weighting exists under which the
 subsets of total weight exactly 1 are precisely the family members, produces
 forced-value certificates (rational combinations of family characteristic
 vectors), and checks the strong variant over the nonnegative unit polytope.
+Every question over all 2^m subsets (verifying a weighting, finding a subset
+forced to total 1 or at most 1) goes through one meet-in-the-middle
+subset-sum join, with ground size at most JOIN_GROUND_LIMIT.
 
 Everything here is exact: weights, certificates, and LP optimizers are
 fractions, and every certificate re-verifies by rational identities before
@@ -25,6 +28,7 @@ from .common import (
     DEFAULT_EXHAUSTIVE_GROUND_LIMIT,
     DEFAULT_STRONG_GROUND_LIMIT,
     GraphError,
+    JOIN_GROUND_LIMIT,
     Verdict,
     no,
     yes,
@@ -175,10 +179,23 @@ def stable_system(g: Graph, budget: Budget | int | None = None) -> SetSystem:
 # ---------------------------------------------------------------------------
 # affine solution space of the unit equations
 
+def _indicator(members, size: int) -> list[Fraction]:
+    """Characteristic vector of `members`: a unit-equation row or an objective."""
+    vec = [Fraction(0)] * size
+    for i in members:
+        vec[i] = Fraction(1)
+    return vec
+
+
+def _unit_equations(s: SetSystem) -> list[tuple[list[Fraction], Fraction]]:
+    """'Every family member sums to 1' as (row, right side) pairs."""
+    return [(_indicator(f, s.ground_size), Fraction(1)) for f in s.family]
+
+
 def solve_unit_system(s: SetSystem):
     """Exact solution space of 'every family member sums to 1', or an
     infeasibility certificate."""
-    rows = [[Fraction(int(i in set(f))) for i in range(s.ground_size)] for f in s.family]
+    rows = [_indicator(f, s.ground_size) for f in s.family]
     res = solve_exact(rows, [Fraction(1)] * len(rows))
     if res[0] == "infeasible":
         combo = tuple(res[1])
@@ -245,13 +262,9 @@ def forced_value(s: SetSystem, target, space: AffineSolutionSpace | None = None)
 
 def _reconstruct_coefficients(s: SetSystem, target) -> tuple[Fraction, ...]:
     """Solve sum_j lam_j chi(F_j) = chi(target) by exact elimination."""
-    tset = set(target)
-    rows = [
-        [Fraction(int(i in set(f))) for f in s.family]
-        for i in range(s.ground_size)
-    ]
-    rhs = [Fraction(int(i in tset)) for i in range(s.ground_size)]
-    res = solve_exact(rows, rhs)
+    members = [_indicator(f, s.ground_size) for f in s.family]
+    rows = [[row[i] for row in members] for i in range(s.ground_size)]
+    res = solve_exact(rows, _indicator(target, s.ground_size))
     if res[0] != "solution":
         raise AssertionError("forced target has no coefficient representation")
     return tuple(res[1])
@@ -271,7 +284,7 @@ def check_certificate(s: SetSystem, cert: ForcedValueCertificate) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive subset-sum verification (Gray-code incremental)
+# the subset-sum join (Horowitz-Sahni meet in the middle)
 
 def _common_denominator(values) -> int:
     den = 1
@@ -280,10 +293,72 @@ def _common_denominator(values) -> int:
     return den
 
 
+def _half_sums(keys) -> list[int]:
+    """Subset sums of `keys`, indexed by subset mask (built by doubling)."""
+    sums = [0]
+    for k in keys:
+        sums += [x + k for x in sums]
+    return sums
+
+
+def _elements(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _smallest_subset(keys, target, skip, vals=None, cap=0):
+    """Mask of the smallest (by size, then lexicographic element order)
+    nonempty subset S outside `skip` whose keys sum to `target` and, when
+    `vals` is given, whose vals sum to at most `cap`; None if there is none.
+
+    The ground set is split into a low and a high half.  The high half's
+    subset sums are bucketed by key, each bucket sorted by size, and every
+    low-half sum looks up its complement.  Cost: O(2^(m/2)) table entries
+    plus one visit per matching pair within the best size so far.
+    """
+    m = len(keys)
+    if m > JOIN_GROUND_LIMIT:
+        raise BudgetExhausted(f"ground size {m} exceeds the subset-join ceiling",
+                              JOIN_GROUND_LIMIT)
+    h = m // 2
+    buckets: dict[int, list[int]] = {}
+    for hi, key in enumerate(_half_sums(keys[h:])):
+        buckets.setdefault(key, []).append(hi)
+    for bucket in buckets.values():
+        if len(bucket) > 1:
+            bucket.sort(key=int.bit_count)  # stable: ascending masks per size
+    if vals is not None:
+        lo_vals, hi_vals = _half_sums(vals[:h]), _half_sums(vals[h:])
+    best, best_size = None, m + 1
+    for lo, key in enumerate(_half_sums(keys[:h])):
+        bucket = buckets.get(target - key)
+        if bucket is None:
+            continue
+        lo_size = lo.bit_count()
+        for hi in bucket:
+            size = lo_size + hi.bit_count()
+            if size > best_size:
+                break
+            full = lo | hi << h
+            if full == 0 or full in skip:
+                continue
+            if vals is not None and lo_vals[lo] + hi_vals[hi] > cap:
+                continue
+            if size < best_size or _lex_smaller(full, best):
+                best, best_size = full, size
+    return best
+
+
+def _lex_smaller(a: int, b: int) -> bool:
+    """For equal-size masks: is a's sorted element tuple below b's?"""
+    diff = a ^ b
+    return bool(a & diff & -diff)
+
+
 def verify_weighting(s: SetSystem, phi: WeightFunction,
                      exhaustive_limit: int = DEFAULT_EXHAUSTIVE_GROUND_LIMIT) -> Verdict:
-    """Exhaustively check: a subset has total weight 1 iff it is a family
-    member.  Enumerates all nonempty subsets with incremental sums."""
+    """Check over all subsets: a subset has total weight 1 iff it is a family
+    member.  The offending subset of a no is the smallest one, by size and
+    then lexicographic element order."""
     m = s.ground_size
     if m > exhaustive_limit:
         raise BudgetExhausted(f"ground size {m} exceeds exhaustive limit", exhaustive_limit)
@@ -291,143 +366,48 @@ def verify_weighting(s: SetSystem, phi: WeightFunction,
         raise GraphError("weight vector length mismatch")
     den = _common_denominator(phi.weights)
     w = [int(q * den) for q in phi.weights]
-    fam = set()
-    for j, f in enumerate(s.family):
-        mask = s.member_mask(j)
-        fam.add(mask)
+    for f in s.family:
         total = sum(w[i] for i in f)
         if total != den:
-            return no(OffendingSubset(elements=s.family[j],
-                                      value=Fraction(total, den), in_family=True))
-    gray = 0
-    cur = 0
-    for i in range(1, 1 << m):
-        bit = i & -i
-        gray ^= bit
-        if gray & bit:
-            cur += w[bit.bit_length() - 1]
-        else:
-            cur -= w[bit.bit_length() - 1]
-        if cur == den and gray not in fam:
-            elems = tuple(j for j in range(m) if gray >> j & 1)
-            return no(OffendingSubset(elements=elems, value=Fraction(1), in_family=False))
+            return no(OffendingSubset(elements=f, value=Fraction(total, den),
+                                      in_family=True))
+    found = _smallest_subset(w, den, set(s.family_masks()))
+    if found is not None:
+        return no(OffendingSubset(elements=_elements(found), value=Fraction(1),
+                                  in_family=False))
     return yes(phi)
 
 
 # ---------------------------------------------------------------------------
 # forced-subset scans
 
-def _scale_vectors(kernel, particular):
+def _scan_forced_subsets(family_masks, kernel, particular, at_most: bool = False):
+    """Smallest (by size, then lexicographic element order) nonempty
+    non-family subset whose total is constant over the affine space spanned
+    by `kernel` around `particular` and equals 1 (at most 1 with `at_most`).
+
+    Returns (elements, value) or None.  Each element's scaled kernel
+    coordinates are packed into one integer key as balanced digits in a radix
+    above twice every coordinate's absolute column sum, so a subset's key sum
+    is zero exactly when all its kernel dot products are.  For the equality
+    test the scaled particular value is the top digit.
+    """
     den_p = _common_denominator(particular)
     p_int = [int(q * den_p) for q in particular]
-    scaled_kernel = []
-    for k in kernel:
-        den_k = _common_denominator(k)
-        scaled_kernel.append([int(q * den_k) for q in k])
-    return den_p, p_int, scaled_kernel
-
-
-def _scan_forced_subsets(m, family_masks, kernel, particular, accept):
-    """Smallest (by size, then lexicographic member order) nonempty non-family
-    subset whose total is constant across the affine space spanned by
-    `kernel` around `particular` and whose constant value satisfies `accept`.
-
-    Returns (elements, value) or None.  Cost: O(2^m * dim kernel).
-    """
-    den_p, p_int, scaled_kernel = _scale_vectors(kernel, particular)
-    d = len(scaled_kernel)
-    cols = [tuple(scaled_kernel[t][j] for t in range(d)) for j in range(m)]
-    fam = set(family_masks)
-    best = None  # (size, elements, value)
-    cur = [0] * d
-    pcur = 0
-    gray = 0
-    for i in range(1, 1 << m):
-        bit = i & -i
-        j = bit.bit_length() - 1
-        gray ^= bit
-        col = cols[j]
-        if gray & bit:
-            for t in range(d):
-                cur[t] += col[t]
-            pcur += p_int[j]
-        else:
-            for t in range(d):
-                cur[t] -= col[t]
-            pcur -= p_int[j]
-        if any(cur) or gray in fam:
-            continue
-        value = Fraction(pcur, den_p)
-        if not accept(value):
-            continue
-        size = gray.bit_count()
-        if best is not None and size > best[0]:
-            continue
-        elems = tuple(t for t in range(m) if gray >> t & 1)
-        if best is None or (size, elems) < (best[0], best[1]):
-            best = (size, elems, value)
-    if best is None:
+    scaled = [[int(q * _common_denominator(k)) for q in k] for k in kernel]
+    radix = 2 * max((sum(map(abs, k)) for k in scaled), default=0) + 1
+    keys = [0] * len(p_int) if at_most else list(p_int)
+    for k in reversed(scaled):
+        keys = [key * radix + c for key, c in zip(keys, k)]
+    skip = set(family_masks)
+    if at_most:
+        found = _smallest_subset(keys, 0, skip, p_int, den_p)
+    else:
+        found = _smallest_subset(keys, den_p * radix ** len(scaled), skip)
+    if found is None:
         return None
-    return best[1], best[2]
-
-
-def _scan_forced_one_mitm(m, family_masks, kernel, particular):
-    """Smallest (size, then lexicographic) non-family subset forced to total
-    exactly 1, by meeting the two ground-set halves in the middle.
-
-    Equivalent to _scan_forced_subsets with accept = (value == 1), but costs
-    O(2^(m/2)) table entries instead of a 2^m sweep.
-    """
-    den_p, p_int, scaled_kernel = _scale_vectors(kernel, particular)
-    d = len(scaled_kernel)
-    m1 = m // 2
-    hi = range(m1, m)
-
-    # bucket every high-half subset by (kernel partial dots, partial total)
-    buckets: dict[tuple, list[tuple[int, int]]] = {}
-    for mask in range(1 << (m - m1)):
-        key_vec = tuple(
-            sum(scaled_kernel[t][m1 + j] for j in range(m - m1) if mask >> j & 1)
-            for t in range(d)
-        )
-        pval = sum(p_int[m1 + j] for j in range(m - m1) if mask >> j & 1)
-        size = mask.bit_count()
-        buckets.setdefault(key_vec + (pval,), []).append((size, mask << m1))
-    for entries in buckets.values():
-        entries.sort()
-
-    fam = set(family_masks)
-    best = None  # (size, elems, mask, value)
-    for lo_mask in range(1 << m1):
-        key_vec = tuple(
-            -sum(scaled_kernel[t][j] for j in range(m1) if lo_mask >> j & 1)
-            for t in range(d)
-        )
-        pval = den_p - sum(p_int[j] for j in range(m1) if lo_mask >> j & 1)
-        entries = buckets.get(key_vec + (pval,))
-        if entries is None:
-            continue
-        lo_size = lo_mask.bit_count()
-        for hi_size, hi_mask in entries:
-            size = lo_size + hi_size
-            if best is not None and size > best[0]:
-                break  # entries sorted by size
-            full = lo_mask | hi_mask
-            if full == 0 or full in fam:
-                continue
-            elems = tuple(t for t in range(m) if full >> t & 1)
-            if best is None or (size, elems) < (best[0], best[1]):
-                best = (size, elems, full, Fraction(1))
-    if best is None:
-        return None
-    return best[1], best[3]
-
-
-def _scan_forced_one(m, family_masks, kernel, particular):
-    if m <= 20:
-        return _scan_forced_subsets(m, family_masks, kernel, particular,
-                                    lambda v: v == 1)
-    return _scan_forced_one_mitm(m, family_masks, kernel, particular)
+    elems = _elements(found)
+    return elems, Fraction(sum(p_int[i] for i in elems), den_p)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +420,8 @@ def _strictly_positive_point(s: SetSystem):
     """
     m = s.ground_size
     # substitute phi_i = psi_i + t with psi >= 0 and t free (variable index m)
-    eqs = []
-    for f in s.family:
-        coeffs = [Fraction(int(i in set(f))) for i in range(m)] + [Fraction(len(f))]
-        eqs.append((coeffs, Fraction(1)))
+    eqs = [(row + [Fraction(len(f))], rhs)
+           for (row, rhs), f in zip(_unit_equations(s), s.family)]
     obj = [Fraction(0)] * m + [Fraction(1)]
     res = lp_optimize(m + 1, eqs, obj, direction="max", free={m})
     if res.status == UNBOUNDED:  # empty family: anything goes
@@ -477,14 +455,14 @@ def decide_equi_exact(s: SetSystem, seed: int = 0,
     if opt <= 0:
         return no(StrictPositivityFailure(max_min_weight=opt))
 
-    found = _scan_forced_one(m, s.family_masks(), space.kernel_basis,
-                             space.particular)
+    found = _scan_forced_subsets(s.family_masks(), space.kernel_basis,
+                                 space.particular)
     if found is not None:
         cert = forced_value(s, found[0], space)
         assert isinstance(cert, ForcedValueCertificate) and cert.value == 1
         return no(cert)
 
-    # only the yes path needs the exhaustive subset sweep
+    # only the yes path needs the verification join over all subsets
     if m > exhaustive_limit:
         raise BudgetExhausted(f"ground size {m} exceeds exhaustive limit", exhaustive_limit)
 
@@ -515,7 +493,8 @@ def decide_equi_exact(s: SetSystem, seed: int = 0,
         if d == 0:
             # unique solution failed although nothing is forced to 1: impossible
             raise AssertionError("unique solution contradicts the forced-subset scan")
-    raise AssertionError("hyperplane-avoiding sampling failed beyond retry cap")
+    raise BudgetExhausted(f"hyperplane-avoiding sampling failed in {max_retries * 4} "
+                          f"attempts (max_retries={max_retries})", max_retries)
 
 
 # ---------------------------------------------------------------------------
@@ -528,15 +507,12 @@ def strong_check(s: SetSystem,
 
     no iff the polytope is empty, or some nonempty non-family subset T has
     the same total gamma <= 1 at every polytope point; witness (T, gamma) is
-    re-verified by exact LP minimization and maximization.
+    the smallest such subset, re-verified by check_strong_witness.
     """
     m = s.ground_size
     if m > ground_limit:
         raise BudgetExhausted(f"ground size {m} exceeds strong-check limit", ground_limit)
-    eqs = [
-        ([Fraction(int(i in set(f))) for i in range(m)], Fraction(1))
-        for f in s.family
-    ]
+    eqs = _unit_equations(s)
     probe = lp_optimize(m, eqs, [Fraction(0)] * m, direction="min")
     if probe.status == INFEASIBLE:
         return no(EmptyPolytope())
@@ -544,8 +520,7 @@ def strong_check(s: SetSystem,
     support = []
     points = []
     for i in range(m):
-        obj = [Fraction(int(j == i)) for j in range(m)]
-        res = lp_optimize(m, eqs, obj, direction="max")
+        res = lp_optimize(m, eqs, _indicator((i,), m), direction="max")
         if res.status == UNBOUNDED:
             support.append(i)
             continue
@@ -558,36 +533,22 @@ def strong_check(s: SetSystem,
     k = len(points)
     center = [sum((p[i] for p in points), Fraction(0)) / k for i in range(m)]
 
-    rows = [list(coeffs) for coeffs, _ in eqs]
     supp = set(support)
-    for i in range(m):
-        if i not in supp:
-            row = [Fraction(0)] * m
-            row[i] = Fraction(1)
-            rows.append(row)
+    rows = [row for row, _ in eqs] + [_indicator((i,), m) for i in range(m) if i not in supp]
     kernel = nullspace(rows, n_cols=m)
 
-    found = _scan_forced_subsets(
-        m, s.family_masks(), kernel, center, lambda v: v <= 1
-    )
+    found = _scan_forced_subsets(s.family_masks(), kernel, center, at_most=True)
     if found is None:
         return yes({"support": tuple(support), "subsets_checked": (1 << m) - 1})
-    target, gamma = found
-    obj = [Fraction(int(i in set(target))) for i in range(m)]
-    lo = lp_optimize(m, eqs, obj, direction="min")
-    hi = lp_optimize(m, eqs, obj, direction="max")
-    if not (lo.status == hi.status == OPTIMAL and lo.value == hi.value == gamma):
-        raise AssertionError("strong witness failed LP re-verification")
-    return no(StrongWitness(target=target, gamma=gamma))
+    witness = StrongWitness(target=found[0], gamma=found[1])
+    check_strong_witness(s, witness)
+    return no(witness)
 
 
 def check_strong_witness(s: SetSystem, w: StrongWitness) -> None:
     m = s.ground_size
-    eqs = [
-        ([Fraction(int(i in set(f))) for i in range(m)], Fraction(1))
-        for f in s.family
-    ]
-    obj = [Fraction(int(i in set(w.target))) for i in range(m)]
+    eqs = _unit_equations(s)
+    obj = _indicator(w.target, m)
     lo = lp_optimize(m, eqs, obj, direction="min")
     hi = lp_optimize(m, eqs, obj, direction="max")
     if not (lo.status == hi.status == OPTIMAL and lo.value == hi.value == w.gamma):

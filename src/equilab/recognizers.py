@@ -114,8 +114,12 @@ def component_classification(g: Graph, budget: Budget | int | None = None) -> Co
         raise GraphError("isolated vertex")
     budget = make_budget(budget)
     tags = []
-    for comp in components(g).vertices:
-        sub, old_ids = induced_subgraph(g, comp)
+    comps = components(g).vertices
+    for comp in comps:
+        if len(comps) == 1:  # a connected graph is its own component: no copy
+            sub, old_ids = g, tuple(range(g.n))
+        else:
+            sub, old_ids = induced_subgraph(g, comp)
         if _is_star(sub):
             tags.append(ComponentTag(kind=STAR, vertices=tuple(old_ids)))
             continue

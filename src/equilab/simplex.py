@@ -39,12 +39,12 @@ def _simplex_core(tab, basis, cost):
     m = len(tab)
     n = len(cost)
     while True:
-        # reduced costs: c - c_B . tab
+        # reduced costs: c - c_B . tab, skipping the tableau's zero entries
         red = list(cost)
         for i, bi in enumerate(basis):
             cb = cost[bi]
             if cb != 0:
-                red = [x - cb * y for x, y in zip(red, tab[i][:n])]
+                red = [x - cb * y if y else x for x, y in zip(red, tab[i])]
         # Bland: entering = smallest index with negative reduced cost
         col = next((j for j in range(n) if red[j] < 0), None)
         if col is None:

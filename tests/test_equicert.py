@@ -1,11 +1,14 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equilab.common import BudgetExhausted, GraphError
+from equilab import equicert
+from equilab.cli import main
+from equilab.common import BudgetExhausted, GraphError, no
 from equilab.equicert import (
     AffineSolutionSpace,
     EmptyPolytope,
@@ -16,6 +19,7 @@ from equilab.equicert import (
     StrongWitness,
     UnitSystemInfeasible,
     WeightFunction,
+    _scan_forced_subsets,
     certificate_from_json,
     certificate_to_json,
     check_certificate,
@@ -220,6 +224,28 @@ class TestDecide:
         b = decide_equi_exact(star_system(generate("cycle(4)")), seed=5)
         assert a == b
 
+    def test_retry_cap_is_unknown(self, monkeypatch, capsys):
+        # sampling that never passes verification ends in a budget note
+        monkeypatch.setattr(equicert, "verify_weighting", lambda *args: no())
+        with pytest.raises(BudgetExhausted, match="max_retries=64") as exc:
+            decide_equi_exact(star_system(generate("cycle(4)")))
+        assert exc.value.limit == 64
+        assert main(["analyze", "gallery:cycle(4)"]) == 3
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["properties"]["equistarable"]["value"] == "unknown"
+
+    def test_join_ceiling_is_fast(self, capsys):
+        # m = 60 is past the subset join's ceiling: unknown, not a 2^30 scan
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExhausted, match="subset-join ceiling"):
+            decide_equi_exact(star_system(generate("cycle(60)")))
+        assert time.perf_counter() - t0 < 1
+        t0 = time.perf_counter()
+        assert main(["analyze", "gallery:cycle(60)"]) == 3
+        assert time.perf_counter() - t0 < 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["properties"]["equistarable"]["value"] == "unknown"
+
     def test_relabeling_invariance(self):
         g = generate("cycle(6)")
         h = make_graph(tuple("fedcba"), [(5 - u, 5 - v) for u, v in g.edges])
@@ -335,3 +361,62 @@ def test_even_cycles_equistarable_odd_length_pattern(k):
     forced pair of edges at distance 3)."""
     v = decide_equi_exact(star_system(generate(f"cycle({2 * k})")))
     assert v.is_yes == (k == 2)
+
+
+def _elements(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _brute_smallest(m, family_masks, accept):
+    """Smallest (size, then lexicographic) non-family subset with accept(S)."""
+    best = None
+    for mask in range(1, 1 << m):
+        elems = _elements(mask)
+        if mask in family_masks or not accept(elems):
+            continue
+        if best is None or (len(elems), elems) < (len(best), best):
+            best = elems
+    return best
+
+
+_small_fractions = st.builds(Fraction, st.integers(-2, 3), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def _subset_problems(draw):
+    m = draw(st.integers(1, 10))
+    vectors = st.lists(_small_fractions, min_size=m, max_size=m)
+    kernel = draw(st.lists(vectors, max_size=3))
+    particular = draw(vectors)
+    family = draw(st.lists(st.integers(1, (1 << m) - 1), max_size=4))
+    return m, kernel, particular, family
+
+
+@given(_subset_problems())
+@settings(max_examples=300, deadline=None)
+def test_subset_join_matches_brute_force(problem):
+    """All three acceptance tests of the join against a loop over all
+    subsets: total 1 (verify_weighting), forced to 1, forced to at most 1.
+    Small entries of both signs make ties and cancellations common."""
+    m, kernel, particular, family = problem
+
+    def total(elems):
+        return sum((particular[i] for i in elems), Fraction(0))
+
+    def forced(elems):
+        return all(sum((k[i] for i in elems), Fraction(0)) == 0 for k in kernel)
+
+    for at_most in (False, True):
+        want = _brute_smallest(m, set(family), lambda e: forced(e) and (
+            total(e) <= 1 if at_most else total(e) == 1))
+        got = _scan_forced_subsets(family, kernel, particular, at_most)
+        assert got == (None if want is None else (want, total(want)))
+
+    members = tuple(_elements(f) for f in family if total(_elements(f)) == 1)
+    s = SetSystem(m, tuple(map(str, range(m))), members)
+    verdict = verify_weighting(s, WeightFunction(tuple(particular)))
+    want = _brute_smallest(m, set(s.family_masks()), lambda e: total(e) == 1)
+    if want is None:
+        assert verdict.is_yes
+    else:
+        assert verdict.witness == OffendingSubset(want, Fraction(1), in_family=False)

@@ -1,5 +1,6 @@
 import pytest
 
+from equilab import recognizers
 from equilab.common import GraphError
 from equilab.equicert import decide_equi_exact, star_system
 from equilab.graphs import generate, graph_from_label_pairs, make_graph
@@ -85,6 +86,21 @@ class TestComponentClassification:
     def test_isolated_vertex_rejected(self):
         with pytest.raises(GraphError):
             component_classification(make_graph(("a", "b", "c"), [(0, 1)]))
+
+    def test_connected_graph_not_copied(self, monkeypatch):
+        # a connected graph is classified in place; inside a union the same
+        # component is classified from an induced copy, with the same tag
+        calls = []
+        copy = recognizers.induced_subgraph
+        monkeypatch.setattr(recognizers, "induced_subgraph",
+                            lambda *args: calls.append(args) or copy(*args))
+        for name in ("cycle(6)", "complete_bipartite(3,3)", "kmn_plus(2,3)"):
+            tags = component_classification(generate(name)).tags
+            assert calls == []
+            union_tags = component_classification(generate(f"{name}+path(2)")).tags
+            assert len(calls) == 2
+            assert union_tags[:1] == tags
+            calls.clear()
 
 
 class TestRecognizeBipartite:
