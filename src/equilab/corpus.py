@@ -126,28 +126,6 @@ def connected_triangle_free_graphs(max_n: int):
 # ---------------------------------------------------------------------------
 # seeded random samplers
 
-def random_connected_bipartite(a: int, b: int, p: float, rng: random.Random) -> Graph:
-    """Random bipartite graph with sides a, b and edge probability p,
-    patched to be connected and isolated-vertex-free by chaining stragglers."""
-    n = a + b
-    edges = {
-        (i, a + j)
-        for i in range(a)
-        for j in range(b)
-        if rng.random() < p
-    }
-    # attach every vertex, then stitch components together greedily
-    for i in range(a):
-        if not any(u == i for u, _ in edges):
-            edges.add((i, a + rng.randrange(b)))
-    for j in range(b):
-        if not any(v == a + j for _, v in edges):
-            edges.add((rng.randrange(a), a + j))
-    while not _is_connected(n, edges):
-        edges.add((rng.randrange(a), a + rng.randrange(b)))
-    return make_graph(_default_labels(n), sorted(edges))
-
-
 def random_connected_triangle_free(n: int, p: float, rng: random.Random) -> Graph:
     """Random triangle-free connected graph: random insertion order, keep an
     edge when it closes no triangle; connect leftovers the same way."""

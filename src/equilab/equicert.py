@@ -500,6 +500,39 @@ def decide_equi_exact(s: SetSystem, seed: int = 0,
 # ---------------------------------------------------------------------------
 # strong variant
 
+def _support_search(s: SetSystem, eqs):
+    """Support of the nonnegative unit polytope and a point of it, or None
+    when the polytope is empty.
+
+    Elements in no family member are unbounded, so they are in the support.
+    For the others, maximize the sum of the coordinates not yet known to be
+    positive, move every coordinate positive in the optimizer into the
+    support, and repeat until the optimum is 0 or nothing is left.  Each
+    round but the last adds at least one element.
+    """
+    m = s.ground_size
+    covered = {i for f in s.family for i in f}
+    support = set(range(m)) - covered
+    unknown = covered
+    points = []
+    while True:
+        res = lp_optimize(m, eqs, _indicator(unknown, m), direction="max")
+        if res.status == INFEASIBLE:
+            return None
+        assert res.status == OPTIMAL  # every covered coordinate is at most 1
+        points.append(res.solution)
+        positive = {i for i in unknown if res.solution[i] > 0}
+        support |= positive
+        unknown -= positive
+        if not positive or not unknown:
+            break
+    # polytope point, positive on the covered support elements: average of
+    # the support-search optimizers
+    k = len(points)
+    center = [sum((p[i] for p in points), Fraction(0)) / k for i in range(m)]
+    return support, center
+
+
 def strong_check(s: SetSystem,
                  ground_limit: int = DEFAULT_STRONG_GROUND_LIMIT) -> Verdict:
     """Decide the strong variant over the nonnegative unit polytope
@@ -507,39 +540,27 @@ def strong_check(s: SetSystem,
 
     no iff the polytope is empty, or some nonempty non-family subset T has
     the same total gamma <= 1 at every polytope point; witness (T, gamma) is
-    the smallest such subset, re-verified by check_strong_witness.
+    the smallest such subset, re-verified by check_strong_witness.  The
+    polytope's support comes from _support_search, a few LPs that each
+    maximize the coordinates not yet known to be positive; the subsets with
+    a constant total are those orthogonal to the kernel of the unit rows and
+    the vanishing coordinates.
     """
     m = s.ground_size
     if m > ground_limit:
         raise BudgetExhausted(f"ground size {m} exceeds strong-check limit", ground_limit)
     eqs = _unit_equations(s)
-    probe = lp_optimize(m, eqs, [Fraction(0)] * m, direction="min")
-    if probe.status == INFEASIBLE:
+    searched = _support_search(s, eqs)
+    if searched is None:
         return no(EmptyPolytope())
+    support, center = searched
 
-    support = []
-    points = []
-    for i in range(m):
-        res = lp_optimize(m, eqs, _indicator((i,), m), direction="max")
-        if res.status == UNBOUNDED:
-            support.append(i)
-            continue
-        points.append(res.solution)
-        if res.value > 0:
-            support.append(i)
-    if not points:
-        points.append(probe.solution)
-    # relative-interior point: average of the per-coordinate maximizers
-    k = len(points)
-    center = [sum((p[i] for p in points), Fraction(0)) / k for i in range(m)]
-
-    supp = set(support)
-    rows = [row for row, _ in eqs] + [_indicator((i,), m) for i in range(m) if i not in supp]
+    rows = [row for row, _ in eqs] + [_indicator((i,), m) for i in range(m) if i not in support]
     kernel = nullspace(rows, n_cols=m)
 
     found = _scan_forced_subsets(s.family_masks(), kernel, center, at_most=True)
     if found is None:
-        return yes({"support": tuple(support), "subsets_checked": (1 << m) - 1})
+        return yes({"support": tuple(sorted(support)), "subsets_checked": (1 << m) - 1})
     witness = StrongWitness(target=found[0], gamma=found[1])
     check_strong_witness(s, witness)
     return no(witness)

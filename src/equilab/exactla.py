@@ -77,6 +77,3 @@ def nullspace(rows, n_cols=None):
     assert res[0] == "solution"
     return res[2]
 
-
-def dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))

@@ -165,15 +165,6 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def same_labeled_graph(g: Graph, h: Graph) -> bool:
-    """Equality as labeled graphs (vertex ids may differ)."""
-    if set(g.labels) != set(h.labels):
-        return False
-    ge = {frozenset(g.edge_labels(i)) for i in range(g.m)}
-    he = {frozenset(h.edge_labels(i)) for i in range(h.m)}
-    return ge == he
-
-
 # ---------------------------------------------------------------------------
 # components / bipartition
 
@@ -324,12 +315,18 @@ def is_triangle_free(g: Graph) -> tuple[bool, tuple[int, int, int] | None]:
 
 def _bron_kerbosch(nbr: list[int], n: int, budget: Budget) -> list[int]:
     """Maximal cliques of the graph given by neighbor bitmasks, with pivoting.
-    Pivot = candidate with most candidates as neighbors, ties by smallest id."""
+    Pivot = candidate with most candidates as neighbors, ties by smallest id.
+
+    The search tree is walked depth first on an explicit stack of
+    [r, p, x, ext] frames, so deep cliques need no Python recursion; the
+    node order, the output order and one budget step per node are those of
+    the recursive formulation."""
     out: list[int] = []
     if n == 0:
         return out
+    stack: list[list[int]] = []
 
-    def expand(r: int, p: int, x: int) -> None:
+    def enter(r: int, p: int, x: int) -> None:
         budget.spend()
         if p == 0 and x == 0:
             out.append(r)
@@ -345,16 +342,19 @@ def _bron_kerbosch(nbr: list[int], n: int, budget: Budget) -> list[int]:
         if pivot < 0:
             # no candidates; x nonempty means r is not maximal
             return
-        ext = p & ~nbr[pivot]
-        while ext:
-            bit = ext & -ext
-            v = bit.bit_length() - 1
-            ext &= ext - 1
-            expand(r | bit, p & nbr[v], x & nbr[v])
-            p &= ~bit
-            x |= bit
+        stack.append([r, p, x, p & ~nbr[pivot]])
 
-    expand(0, (1 << n) - 1, 0)
+    enter(0, (1 << n) - 1, 0)
+    while stack:
+        frame = stack[-1]
+        r, p, x, ext = frame
+        if not ext:
+            stack.pop()
+            continue
+        bit = ext & -ext
+        v = bit.bit_length() - 1
+        frame[1], frame[2], frame[3] = p & ~bit, x | bit, ext & (ext - 1)
+        enter(r | bit, p & nbr[v], x & nbr[v])
     return out
 
 

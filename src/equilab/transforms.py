@@ -1,11 +1,11 @@
-"""Graph operators: line graph, complement, co-line graph, tensor product,
-disjoint union, and desk-scale isomorphism testing."""
+"""Graph operators: line graph, complement, co-line graph, disjoint union,
+and desk-scale isomorphism testing."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .common import Budget, BudgetExhausted, GraphError, make_budget
+from .common import Budget, GraphError, make_budget
 from .graphs import Graph, adjacency_masks, make_graph
 
 
@@ -53,20 +53,6 @@ def co_line(g: Graph) -> LabeledLineGraph:
     return LabeledLineGraph(graph=complement(lg.graph), edge_of_vertex=lg.edge_of_vertex)
 
 
-def tensor_product(g: Graph, h: Graph) -> Graph:
-    """Vertex set V(g) x V(h); edges pair up edges of both factors."""
-    labels = tuple(
-        f"({lg},{lh})" for lg in g.labels for lh in h.labels
-    )
-    nh = h.n
-    pairs = []
-    for u1, u2 in g.edges:
-        for v1, v2 in h.edges:
-            pairs.append((u1 * nh + v1, u2 * nh + v2))
-            pairs.append((u1 * nh + v2, u2 * nh + v1))
-    return make_graph(labels, pairs)
-
-
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Side-by-side copies; labels are prefixed only on collision."""
     if set(g.labels) & set(h.labels):
@@ -103,13 +89,18 @@ def is_isomorphic(g: Graph, h: Graph, budget: Budget | int | None = None):
         keys_h.setdefault(profile_h[v], []).append(v)
     mapping = [-1] * g.n
     used = [False] * h.n
-
-    def extend(i: int) -> bool:
-        budget.spend()
-        if i == g.n:
-            return True
+    # depth-first search without recursion: level i maps order[i], and
+    # tried[i] counts the candidates already tried there
+    candidates = [keys_h.get(profile_g[v], ()) for v in order]
+    tried = [0] * g.n
+    i = 0
+    budget.spend()
+    while i < g.n:
         v = order[i]
-        for w in keys_h.get(profile_g[v], ()):
+        cands = candidates[i]
+        while tried[i] < len(cands):
+            w = cands[tried[i]]
+            tried[i] += 1
             if used[w]:
                 continue
             ok = True
@@ -128,14 +119,19 @@ def is_isomorphic(g: Graph, h: Graph, budget: Budget | int | None = None):
             if ok:
                 mapping[v] = w
                 used[w] = True
-                if extend(i + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    if not extend(0):
-        return None
+                break
+        else:
+            # every candidate failed: undo the previous level's choice
+            tried[i] = 0
+            if i == 0:
+                return None
+            i -= 1
+            u = order[i]
+            used[mapping[u]] = False
+            mapping[u] = -1
+            continue
+        i += 1
+        budget.spend()
     check_isomorphism(g, h, mapping)
     return list(mapping)
 

@@ -7,10 +7,12 @@ produced by these oracles (or checked against networkx/sympy/scipy).
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from equilab.corpus import _default_labels, _is_connected
 from equilab.graphs import Graph, make_graph
 
 
@@ -101,6 +103,55 @@ def graph_from_pairs(pairs):
     labels = sorted({str(x) for p in pairs for x in p})
     pos = {l: i for i, l in enumerate(labels)}
     return make_graph(tuple(labels), [(pos[str(u)], pos[str(v)]) for u, v in pairs])
+
+
+def dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def same_labeled_graph(g: Graph, h: Graph) -> bool:
+    """Equality as labeled graphs (vertex ids may differ)."""
+    if set(g.labels) != set(h.labels):
+        return False
+    ge = {frozenset(g.edge_labels(i)) for i in range(g.m)}
+    he = {frozenset(h.edge_labels(i)) for i in range(h.m)}
+    return ge == he
+
+
+def tensor_product(g: Graph, h: Graph) -> Graph:
+    """Vertex set V(g) x V(h); edges pair up edges of both factors."""
+    labels = tuple(
+        f"({lg},{lh})" for lg in g.labels for lh in h.labels
+    )
+    nh = h.n
+    pairs = []
+    for u1, u2 in g.edges:
+        for v1, v2 in h.edges:
+            pairs.append((u1 * nh + v1, u2 * nh + v2))
+            pairs.append((u1 * nh + v2, u2 * nh + v1))
+    return make_graph(labels, pairs)
+
+
+def random_connected_bipartite(a: int, b: int, p: float, rng: random.Random) -> Graph:
+    """Random bipartite graph with sides a, b and edge probability p,
+    patched to be connected and isolated-vertex-free by chaining stragglers."""
+    n = a + b
+    edges = {
+        (i, a + j)
+        for i in range(a)
+        for j in range(b)
+        if rng.random() < p
+    }
+    # attach every vertex, then stitch components together greedily
+    for i in range(a):
+        if not any(u == i for u, _ in edges):
+            edges.add((i, a + rng.randrange(b)))
+    for j in range(b):
+        if not any(v == a + j for _, v in edges):
+            edges.add((rng.randrange(a), a + j))
+    while not _is_connected(n, edges):
+        edges.add((rng.randrange(a), a + rng.randrange(b)))
+    return make_graph(_default_labels(n), sorted(edges))
 
 
 @pytest.fixture(scope="session")

@@ -15,10 +15,7 @@ from fractions import Fraction
 import pytest
 
 from equilab.common import Verdict
-from equilab.corpus import (
-    connected_triangle_free_graphs,
-    random_connected_bipartite,
-)
+from equilab.corpus import connected_triangle_free_graphs
 from equilab.equicert import (
     ForcedValueCertificate,
     StrongWitness,
@@ -54,6 +51,8 @@ from equilab.recognizers import (
     recognize_equistarable_forest,
 )
 from equilab.transforms import disjoint_union
+
+from conftest import random_connected_bipartite
 
 
 @pytest.fixture(autouse=True)
@@ -146,16 +145,20 @@ def _fit_exponent(sizes, times):
     )
 
 
-def _time_recognizer(g, repeats=5):
-    """Best per-call time; small graphs are batched so that every trial
-    covers a comparable amount of work, which keeps the fit noise-free."""
-    calls = max(1, 2_000_000 // g.n)
-    best = math.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            recognize_equistarable_forest(g)
-        best = min(best, (time.perf_counter() - t0) / calls)
+def _time_recognizer(graphs, rounds=7):
+    """Best per-call CPU time for each graph.  The sizes take turns round by
+    round, so that a slow spell of a shared machine hits every size alike
+    instead of one end of the fit, and process time leaves out the spells in
+    which the process is not scheduled at all.  Small graphs are batched so
+    that every trial covers a comparable amount of work."""
+    best = [math.inf] * len(graphs)
+    for _ in range(rounds):
+        for i, g in enumerate(graphs):
+            calls = max(1, 2_000_000 // g.n)
+            t0 = time.process_time()
+            for _ in range(calls):
+                recognize_equistarable_forest(g)
+            best[i] = min(best[i], (time.process_time() - t0) / calls)
     return best
 
 
@@ -190,7 +193,7 @@ def test_criterion_2_forest_chain():
     try:
         slopes = []
         for build in (big_path, big_spider):
-            times = [_time_recognizer(build(n)) for n in sizes]
+            times = _time_recognizer([build(n) for n in sizes])
             slopes.append(_fit_exponent(sizes, times))
     finally:
         gc.enable()

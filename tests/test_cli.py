@@ -4,7 +4,9 @@ import pytest
 
 from equilab.cli import main
 from equilab.equicert import certificate_from_json, star_system
-from equilab.graphs import generate, parse_edge_list, same_labeled_graph
+from equilab.graphs import generate, parse_edge_list
+
+from conftest import same_labeled_graph
 
 
 def run(capsys, argv):

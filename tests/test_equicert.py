@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from equilab import equicert
 from equilab.cli import main
-from equilab.common import BudgetExhausted, GraphError, no
+from equilab.common import BudgetExhausted, GraphError, no, yes
+from equilab.corpus import connected_triangle_free_graphs
 from equilab.equicert import (
     AffineSolutionSpace,
     EmptyPolytope,
@@ -19,7 +20,10 @@ from equilab.equicert import (
     StrongWitness,
     UnitSystemInfeasible,
     WeightFunction,
+    _indicator,
     _scan_forced_subsets,
+    _support_search,
+    _unit_equations,
     certificate_from_json,
     certificate_to_json,
     check_certificate,
@@ -34,7 +38,9 @@ from equilab.equicert import (
     strong_check,
     verify_weighting,
 )
+from equilab.exactla import nullspace
 from equilab.graphs import find_edge_by_name, generate, make_graph, parse_edge_list
+from equilab.simplex import INFEASIBLE, UNBOUNDED, lp_optimize
 from equilab.transforms import co_line, disjoint_union
 
 from conftest import oracle_maximal_stars, oracle_unit_subsets
@@ -42,6 +48,65 @@ from conftest import oracle_maximal_stars, oracle_unit_subsets
 
 def edge_ids(g, names):
     return tuple(find_edge_by_name(g, n) for n in names)
+
+
+def reference_support(s):
+    """The per-coordinate support search: a probe LP, then one max-LP per
+    element.  Returns (support, center), or None for an empty polytope."""
+    m = s.ground_size
+    eqs = _unit_equations(s)
+    probe = lp_optimize(m, eqs, [Fraction(0)] * m, direction="min")
+    if probe.status == INFEASIBLE:
+        return None
+    support, points = [], []
+    for i in range(m):
+        res = lp_optimize(m, eqs, _indicator((i,), m), direction="max")
+        if res.status == UNBOUNDED:
+            support.append(i)
+            continue
+        points.append(res.solution)
+        if res.value > 0:
+            support.append(i)
+    if not points:
+        points.append(probe.solution)
+    center = [sum((p[i] for p in points), Fraction(0)) / len(points) for i in range(m)]
+    return support, center
+
+
+def reference_strong_check(s):
+    """(support, verdict) of strong_check with its support from
+    reference_support; the witness is compared, not re-verified."""
+    m = s.ground_size
+    found = reference_support(s)
+    if found is None:
+        return None, no(EmptyPolytope())
+    support, center = found
+    rows = [_indicator(f, m) for f in s.family]
+    rows += [_indicator((i,), m) for i in range(m) if i not in support]
+    hit = _scan_forced_subsets(s.family_masks(), nullspace(rows, n_cols=m), center,
+                               at_most=True)
+    if hit is None:
+        return support, yes({"support": tuple(support), "subsets_checked": (1 << m) - 1})
+    return support, no(StrongWitness(target=hit[0], gamma=hit[1]))
+
+
+def assert_support_matches_reference(s):
+    support, verdict = reference_strong_check(s)
+    ours = _support_search(s, _unit_equations(s))
+    assert (ours is None) == (support is None)
+    if ours is not None:
+        assert ours[0] == set(support)
+    assert strong_check(s) == verdict
+
+
+def count_lp_calls(monkeypatch):
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return lp_optimize(*args, **kwargs)
+    monkeypatch.setattr(equicert, "lp_optimize", counted)
+    return calls
 
 
 class TestSystems:
@@ -283,6 +348,78 @@ class TestStrong:
     def test_ground_limit(self):
         with pytest.raises(BudgetExhausted):
             strong_check(star_system(generate("circulant(11,{1,3})")))
+
+    def test_lp_calls_per_strong_check(self, monkeypatch):
+        # the support search takes 2-4 LPs here, plus 2 to re-verify the
+        # graph_h and petersen witnesses; one LP per element took 17-18
+        calls = count_lp_calls(monkeypatch)
+        counts = {}
+        for desc in ("graph_h", "petersen", "complete_bipartite(4,4)"):
+            g = generate(desc)
+            for kind, s in (("star", star_system(g)),
+                            ("co-line", stable_system(co_line(g).graph))):
+                calls[0] = 0
+                strong_check(s)
+                counts[desc, kind] = calls[0]
+        assert counts == {
+            ("graph_h", "star"): 5, ("graph_h", "co-line"): 5,
+            ("petersen", "star"): 4, ("petersen", "co-line"): 4,
+            ("complete_bipartite(4,4)", "star"): 4,
+            ("complete_bipartite(4,4)", "co-line"): 4,
+        }
+
+    def test_support_matches_reference_on_bipartite8_stars(self, bipartite8):
+        for g in bipartite8:
+            assert_support_matches_reference(star_system(g))
+
+    def test_support_matches_reference_on_co_line_stable_sets(self):
+        for g in connected_triangle_free_graphs(6):
+            assert_support_matches_reference(stable_system(co_line(g).graph))
+
+    def test_uncovered_element_is_in_support(self, monkeypatch):
+        # element 2 lies in no member, so it is unbounded
+        s = SetSystem(3, ("a", "b", "c"), ((0, 1),))
+        calls = count_lp_calls(monkeypatch)
+        assert _support_search(s, _unit_equations(s))[0] == {0, 1, 2}
+        assert calls[0] == 2
+        assert_support_matches_reference(s)
+        assert strong_check(s) == yes({"support": (0, 1, 2), "subsets_checked": 7})
+
+    def test_empty_polytope_from_first_lp(self, monkeypatch):
+        # the five members sum to 3 but {0,2,4} + {1,3,5,6} = 2 + x6, so the
+        # unit equations force x6 = -1: solvable, but not by x >= 0
+        s = SetSystem(7, tuple("abcdefg"),
+                      ((0, 1), (2, 3), (4, 5), (0, 2, 4), (1, 3, 5, 6)))
+        check_set_system(s)
+        assert isinstance(solve_unit_system(s), AffineSolutionSpace)
+        calls = count_lp_calls(monkeypatch)
+        assert strong_check(s) == no(EmptyPolytope())
+        assert calls[0] == 1
+        assert_support_matches_reference(s)
+
+    def test_second_round_finds_forced_zeros(self, monkeypatch):
+        # x1 = 1/2 is forced, so x3 = 2 x1 - 1 and x5 = 1 - 2 x1 vanish: the
+        # first optimizer finds the support, the second LP proves the rest 0
+        s = SetSystem(6, tuple("abcdef"),
+                      ((0, 1), (1, 2), (0, 2, 3), (0, 4), (1, 4, 5)))
+        check_set_system(s)
+        calls = count_lp_calls(monkeypatch)
+        support, center = _support_search(s, _unit_equations(s))
+        assert calls[0] == 2
+        assert support == {0, 1, 2, 4}
+        assert center == [Fraction(1, 2)] * 3 + [0, Fraction(1, 2), 0]
+        assert_support_matches_reference(s)
+        v = strong_check(s)
+        assert v.witness == StrongWitness(target=(0,), gamma=Fraction(1, 2))
+
+    def test_two_positive_rounds(self, monkeypatch):
+        # the first optimizer is a vertex with one positive coordinate
+        s = SetSystem(2, ("a", "b"), ((0, 1),))
+        calls = count_lp_calls(monkeypatch)
+        support, center = _support_search(s, _unit_equations(s))
+        assert calls[0] == 2
+        assert support == {0, 1} and center == [Fraction(1, 2)] * 2
+        assert_support_matches_reference(s)
 
 
 class TestComponentMonotonicity:

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equilab.exactla import dot, nullspace, solve_exact
+from equilab.exactla import nullspace, solve_exact
 from equilab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_optimize
+
+from conftest import dot
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=4

@@ -4,8 +4,9 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equilab.common import GraphError
+from equilab.common import Budget, BudgetExhausted, GraphError
 from equilab.graphs import (
+    _bron_kerbosch,
     Bipartition,
     OddWalkWitness,
     bipartition,
@@ -26,10 +27,9 @@ from equilab.graphs import (
     make_graph,
     parse_descriptor,
     parse_edge_list,
-    same_labeled_graph,
 )
 
-from conftest import oracle_maximal_cliques, oracle_maximal_stable_sets
+from conftest import oracle_maximal_cliques, oracle_maximal_stable_sets, same_labeled_graph
 
 
 # a reusable strategy for small random graphs
@@ -39,6 +39,40 @@ def small_graphs(draw, max_n=8):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     picked = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     return make_graph(tuple(str(i) for i in range(n)), picked)
+
+
+def reference_bron_kerbosch(nbr, n, budget):
+    """The recursive formulation that _bron_kerbosch walks with a stack."""
+    out = []
+    if n == 0:
+        return out
+
+    def expand(r, p, x):
+        budget.spend()
+        if p == 0 and x == 0:
+            out.append(r)
+            return
+        pivot, best = -1, -1
+        mm = p
+        while mm:
+            v = (mm & -mm).bit_length() - 1
+            mm &= mm - 1
+            c = (p & nbr[v]).bit_count()
+            if c > best:
+                pivot, best = v, c
+        if pivot < 0:
+            return
+        ext = p & ~nbr[pivot]
+        while ext:
+            bit = ext & -ext
+            v = bit.bit_length() - 1
+            ext &= ext - 1
+            expand(r | bit, p & nbr[v], x & nbr[v])
+            p &= ~bit
+            x |= bit
+
+    expand(0, (1 << n) - 1, 0)
+    return out
 
 
 class TestConstruction:
@@ -164,6 +198,27 @@ class TestEnumeration:
         comp = nx.complement(G)
         theirs = {tuple(sorted(c)) for c in nx.find_cliques(comp)}
         assert ours == theirs
+
+    @given(small_graphs(max_n=9))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_walk_matches_recursion(self, g):
+        # same cliques in the same order, one budget step per search node
+        full = (1 << g.n) - 1
+        masks = list(adjacency_masks(g))
+        for nbr in (masks, [full & ~m & ~(1 << v) for v, m in enumerate(masks)]):
+            ours, ref = Budget(10**6), Budget(10**6)
+            assert _bron_kerbosch(nbr, g.n, ours) == reference_bron_kerbosch(nbr, g.n, ref)
+            assert ours.used == ref.used
+
+    def test_deep_stable_sets_need_no_recursion(self):
+        # a 1200-vertex stable set is 1201 search levels deep, past
+        # Python's default recursion limit of 1000
+        assert enumerate_maximal_stable_sets(generate("star(1200)")) == [
+            (0,), tuple(range(1, 1201))]
+        budget = Budget(3000)
+        with pytest.raises(BudgetExhausted):
+            enumerate_maximal_stable_sets(generate("path(2400)"), budget)
+        assert budget.used == 3001
 
 
 class TestInducedSubgraph:
