@@ -163,48 +163,41 @@ def cmd_analyze(args) -> int:
     props = report["properties"]
     exhausted = False
 
+    def settle(key, graph, build, decide):
+        """Record decide's verdict on the set system build() returns under
+        `key`, or unknown when a budget runs out.  Returns the system, or
+        None when it came to unknown."""
+        nonlocal exhausted
+        try:
+            system = build()
+            props[key] = _verdict_json(graph, decide(system), system)
+            return system
+        except BudgetExhausted as exc:
+            props[key] = {"value": "unknown", "note": str(exc)}
+            exhausted = True
+            return None
+
+    def equi(system):
+        return decide_equi_exact(system, seed=args.seed)
+
     props["p5_constrained"] = _verdict_json(g, is_p5_constrained(g))
 
-    star = None
     if any(g.degree(v) == 0 for v in range(g.n)):
         props["equistarable"] = {"value": "undefined", "note": "isolated vertex"}
     else:
         star = star_system(g)
-        try:
-            props["equistarable"] = _verdict_json(
-                g, decide_equi_exact(star, seed=args.seed), star)
-        except BudgetExhausted as exc:
-            props["equistarable"] = {"value": "unknown", "note": str(exc)}
-            exhausted = True
+        settle("equistarable", g, lambda: star, equi)
         if args.strong:
-            try:
-                props["strongly_equistarable"] = _verdict_json(
-                    g, strong_check(star), star)
-            except BudgetExhausted as exc:
-                props["strongly_equistarable"] = {"value": "unknown", "note": str(exc)}
-                exhausted = True
+            settle("strongly_equistarable", g, lambda: star, strong_check)
 
     if args.with_co_line:
         if g.m < 1:
             props["co_line"] = {"value": "undefined", "note": "no edges"}
         else:
             col = co_line(g).graph
-            try:
-                stab = stable_system(col, budget)
-                props["equistable"] = _verdict_json(
-                    col, decide_equi_exact(stab, seed=args.seed), stab)
-            except BudgetExhausted as exc:
-                props["equistable"] = {"value": "unknown", "note": str(exc)}
-                exhausted = True
-            else:
-                if args.strong:
-                    try:
-                        props["strongly_equistable"] = _verdict_json(
-                            col, strong_check(stab), stab)
-                    except BudgetExhausted as exc:
-                        props["strongly_equistable"] = {"value": "unknown",
-                                                        "note": str(exc)}
-                        exhausted = True
+            stab = settle("equistable", col, lambda: stable_system(col, budget), equi)
+            if stab is not None and args.strong:
+                settle("strongly_equistable", col, lambda: stab, strong_check)
             tc = triangle_condition(col, budget)
             props["triangle_condition"] = _verdict_json(col, tc)
             gp = general_partition(col, budget)
@@ -238,9 +231,10 @@ def _emit_text(report: dict, indent: str = "") -> None:
 # ---------------------------------------------------------------------------
 # certify
 
-def _resolve_targets(g, tokens):
+def _resolve_targets(g, tokens, budget):
     """Interpret targets as edge names (star system) or vertex labels
-    (stable-set system).  An edge name that spells two edges is an error."""
+    (stable-set system, enumerated within `budget`).  An edge name that
+    spells two edges is an error."""
     eids = [find_edge_by_name(g, t, missing_ok=True) for t in tokens]
     if None not in eids:
         return star_system(g), tuple(eids)
@@ -248,7 +242,7 @@ def _resolve_targets(g, tokens):
     missing = [t for t in tokens if t not in pos]
     if missing:
         raise GraphError(f"unknown labels: {', '.join(missing)}")
-    return stable_system(g), tuple(pos[t] for t in tokens)
+    return stable_system(g, budget), tuple(pos[t] for t in tokens)
 
 
 def cmd_certify(args) -> int:
@@ -257,16 +251,12 @@ def cmd_certify(args) -> int:
         tokens = [t.strip() for t in args.target.split(",") if t.strip()]
         if not tokens:
             raise GraphError("empty target")
-        system, target = _resolve_targets(g, tokens)
-    except (GraphError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
+        system, target = _resolve_targets(g, tokens, make_budget(args.budget))
         res = forced_value(system, target)
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except GraphError as exc:
+    except (GraphError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     out = {"schema": 1, "tool_version": __version__}
@@ -363,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("input")
     c.add_argument("--target", required=True,
                    help="comma-separated edge names or vertex labels")
-    common(c)
+    c.add_argument("--budget", type=int, default=None)
     c.set_defaults(func=cmd_certify)
 
     gal = sub.add_parser("gallery", help="write a gallery graph as an edge list")

@@ -7,6 +7,9 @@ from dataclasses import dataclass
 DEFAULT_ENUMERATION_BUDGET = 10**7
 DEFAULT_STRONG_GROUND_LIMIT = 16
 DEFAULT_EXHAUSTIVE_GROUND_LIMIT = 24
+# decide_equi_exact samples weightings in four rounds of this many, each round
+# drawing from a ten times wider range
+MAX_RETRIES = 64
 # the subset-sum join's ground-size ceiling: each half table has at most 2^20 entries
 JOIN_GROUND_LIMIT = 40
 
@@ -30,15 +33,15 @@ class Budget:
     limit: int
     used: int = 0
 
-    def spend(self, amount: int = 1) -> None:
-        self.used += amount
+    def spend(self) -> None:
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExhausted(f"budget of {self.limit} steps exhausted", self.limit)
 
 
-def make_budget(budget: "Budget | int | None", default: int = DEFAULT_ENUMERATION_BUDGET) -> Budget:
+def make_budget(budget: "Budget | int | None") -> Budget:
     if budget is None:
-        return Budget(default)
+        return Budget(DEFAULT_ENUMERATION_BUDGET)
     if isinstance(budget, int):
         return Budget(budget)
     return budget

@@ -29,6 +29,7 @@ from .common import (
     DEFAULT_STRONG_GROUND_LIMIT,
     GraphError,
     JOIN_GROUND_LIMIT,
+    MAX_RETRIES,
     Verdict,
     no,
     yes,
@@ -354,14 +355,14 @@ def _lex_smaller(a: int, b: int) -> bool:
     return bool(a & diff & -diff)
 
 
-def verify_weighting(s: SetSystem, phi: WeightFunction,
-                     exhaustive_limit: int = DEFAULT_EXHAUSTIVE_GROUND_LIMIT) -> Verdict:
+def verify_weighting(s: SetSystem, phi: WeightFunction) -> Verdict:
     """Check over all subsets: a subset has total weight 1 iff it is a family
     member.  The offending subset of a no is the smallest one, by size and
     then lexicographic element order."""
     m = s.ground_size
-    if m > exhaustive_limit:
-        raise BudgetExhausted(f"ground size {m} exceeds exhaustive limit", exhaustive_limit)
+    if m > DEFAULT_EXHAUSTIVE_GROUND_LIMIT:
+        raise BudgetExhausted(f"ground size {m} exceeds exhaustive limit",
+                              DEFAULT_EXHAUSTIVE_GROUND_LIMIT)
     if len(phi.weights) != m:
         raise GraphError("weight vector length mismatch")
     den = _common_denominator(phi.weights)
@@ -432,9 +433,7 @@ def _strictly_positive_point(s: SetSystem):
     return res.value, phi
 
 
-def decide_equi_exact(s: SetSystem, seed: int = 0,
-                      exhaustive_limit: int = DEFAULT_EXHAUSTIVE_GROUND_LIMIT,
-                      max_retries: int = 64) -> Verdict:
+def decide_equi_exact(s: SetSystem, seed: int = 0) -> Verdict:
     """Decide whether some strictly positive weighting realizes exactly the
     family as the unit-total subsets.
 
@@ -462,15 +461,13 @@ def decide_equi_exact(s: SetSystem, seed: int = 0,
         assert isinstance(cert, ForcedValueCertificate) and cert.value == 1
         return no(cert)
 
-    # only the yes path needs the verification join over all subsets
-    if m > exhaustive_limit:
-        raise BudgetExhausted(f"ground size {m} exceeds exhaustive limit", exhaustive_limit)
-
+    # only the yes path needs the verification join over all subsets; past
+    # its ground limit the first verify_weighting call raises BudgetExhausted
     rng = random.Random(seed)
     d = len(space.kernel_basis)
     bound = 1000
-    for attempt in range(max_retries * 4):
-        if attempt > 0 and attempt % max_retries == 0:
+    for attempt in range(MAX_RETRIES * 4):
+        if attempt > 0 and attempt % MAX_RETRIES == 0:
             bound *= 10
         if d == 0 or attempt == 0:
             phi = phi0
@@ -487,14 +484,14 @@ def decide_equi_exact(s: SetSystem, seed: int = 0,
                 scale = opt / (2 * peak)
                 phi = tuple(a + scale * b for a, b in zip(phi0, delta))
         cand = WeightFunction(tuple(phi))
-        verdict = verify_weighting(s, cand, exhaustive_limit)
+        verdict = verify_weighting(s, cand)
         if verdict.is_yes:
             return yes(cand)
         if d == 0:
             # unique solution failed although nothing is forced to 1: impossible
             raise AssertionError("unique solution contradicts the forced-subset scan")
-    raise BudgetExhausted(f"hyperplane-avoiding sampling failed in {max_retries * 4} "
-                          f"attempts (max_retries={max_retries})", max_retries)
+    raise BudgetExhausted(f"hyperplane-avoiding sampling failed in {MAX_RETRIES * 4} "
+                          f"attempts (max_retries={MAX_RETRIES})", MAX_RETRIES)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +530,7 @@ def _support_search(s: SetSystem, eqs):
     return support, center
 
 
-def strong_check(s: SetSystem,
-                 ground_limit: int = DEFAULT_STRONG_GROUND_LIMIT) -> Verdict:
+def strong_check(s: SetSystem) -> Verdict:
     """Decide the strong variant over the nonnegative unit polytope
     {phi >= 0, every family member totals 1}.
 
@@ -547,8 +543,9 @@ def strong_check(s: SetSystem,
     the vanishing coordinates.
     """
     m = s.ground_size
-    if m > ground_limit:
-        raise BudgetExhausted(f"ground size {m} exceeds strong-check limit", ground_limit)
+    if m > DEFAULT_STRONG_GROUND_LIMIT:
+        raise BudgetExhausted(f"ground size {m} exceeds strong-check limit",
+                              DEFAULT_STRONG_GROUND_LIMIT)
     eqs = _unit_equations(s)
     searched = _support_search(s, eqs)
     if searched is None:

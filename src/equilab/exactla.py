@@ -1,9 +1,21 @@
 """Exact rational linear algebra: Gauss-Jordan elimination with solution,
-kernel basis, and infeasibility certificates.  No floating point."""
+kernel basis, and infeasibility certificates, and the row pivot that the
+simplex shares.  No floating point."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def _pivot(tab, row, col):
+    """Scale `row` so its `col` entry is 1, then clear column `col` from the
+    other rows, skipping rows that are already zero there."""
+    piv = tab[row][col]
+    tab[row] = [x / piv for x in tab[row]]
+    for i, r in enumerate(tab):
+        if i != row and r[col] != 0:
+            f = r[col]
+            tab[i] = [x - f * y for x, y in zip(r, tab[row])]
 
 
 def solve_exact(rows, rhs):
@@ -16,48 +28,38 @@ def solve_exact(rows, rhs):
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in row] for row in rows]
-    b = [Fraction(x) for x in rhs]
-    # tracking matrix: current rows as combinations of original equations
-    t = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    # one row [A | b | T] per equation; T tracks the current row as a
+    # combination of the original equations
+    tab = [[Fraction(x) for x in row] + [Fraction(b)]
+           + [Fraction(int(i == j)) for j in range(m)]
+           for i, (row, b) in enumerate(zip(rows, rhs))]
 
     pivot_cols: list[int] = []
     r = 0
     for c in range(n):
-        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
+        pr = next((i for i in range(r, m) if tab[i][c] != 0), None)
         if pr is None:
             continue
-        a[r], a[pr] = a[pr], a[r]
-        b[r], b[pr] = b[pr], b[r]
-        t[r], t[pr] = t[pr], t[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        b[r] *= inv
-        t[r] = [x * inv for x in t[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                b[i] -= f * b[r]
-                t[i] = [x - f * y for x, y in zip(t[i], t[r])]
+        tab[r], tab[pr] = tab[pr], tab[r]
+        _pivot(tab, r, c)
         pivot_cols.append(c)
         r += 1
         if r == m:
             break
     for i in range(r, m):
-        if b[i] != 0:
-            return "infeasible", list(t[i])
+        if tab[i][n] != 0:
+            return "infeasible", tab[i][n + 1:]
 
     particular = [Fraction(0)] * n
     for i, c in enumerate(pivot_cols):
-        particular[c] = b[i]
+        particular[c] = tab[i][n]
     free_cols = [c for c in range(n) if c not in set(pivot_cols)]
     kernel = []
     for fc in free_cols:
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
         for i, c in enumerate(pivot_cols):
-            vec[c] = -a[i][fc]
+            vec[c] = -tab[i][fc]
         kernel.append(vec)
     return "solution", particular, kernel
 

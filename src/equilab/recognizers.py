@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from .common import (
     Budget,
     BudgetExhausted,
+    DEFAULT_STRONG_GROUND_LIMIT,
     GraphError,
     Verdict,
     make_budget,
@@ -302,8 +303,7 @@ class CrosscheckReport:
     skipped: tuple[str, ...] = ()
 
 
-def crosscheck_table1(g: Graph, budget: Budget | int | None = None,
-                      strong_ground_limit: int | None = None) -> CrosscheckReport:
+def crosscheck_table1(g: Graph, budget: Budget | int | None = None) -> CrosscheckReport:
     """Evaluate the four paired properties on a triangle-free graph g (left)
     and on its co-line graph (right), then check the pairwise equivalences
     and the downward implication chain.
@@ -313,17 +313,9 @@ def crosscheck_table1(g: Graph, budget: Budget | int | None = None,
     weighting existence on stars vs stable sets; five-path constraint vs
     triangle condition.  Any recorded violation is a genuine bug.
     """
-    from .equicert import (
-        DEFAULT_STRONG_GROUND_LIMIT,
-        decide_equi_exact,
-        stable_system,
-        star_system,
-        strong_check,
-    )
+    from .equicert import decide_equi_exact, stable_system, star_system, strong_check
     from .transforms import co_line
 
-    if strong_ground_limit is None:
-        strong_ground_limit = DEFAULT_STRONG_GROUND_LIMIT
     tri = is_triangle_free(g)
     if not tri[0]:
         raise GraphError(f"graph has a triangle {tri[1]}")
@@ -351,9 +343,9 @@ def crosscheck_table1(g: Graph, budget: Budget | int | None = None,
     right1 = general_partition(col, budget)
     report.rows[ROW_PARTITION] = RowOutcome(left1, right1)
 
-    if star.ground_size <= strong_ground_limit:
-        left2 = strong_check(star, strong_ground_limit)
-        right2 = strong_check(stab, strong_ground_limit)
+    if star.ground_size <= DEFAULT_STRONG_GROUND_LIMIT:
+        left2 = strong_check(star)
+        right2 = strong_check(stab)
         report.rows[ROW_STRONG] = RowOutcome(left2, right2)
     else:
         skipped.append(ROW_STRONG)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactla import _pivot
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -21,16 +23,6 @@ class LPResult:
     status: str
     value: Fraction | None = None
     solution: tuple[Fraction, ...] | None = None
-
-
-def _pivot(tab, basis, row, col):
-    piv = tab[row][col]
-    tab[row] = [x / piv for x in tab[row]]
-    for i, r in enumerate(tab):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tab[i] = [x - f * y for x, y in zip(r, tab[row])]
-    basis[row] = col
 
 
 def _simplex_core(tab, basis, cost):
@@ -58,7 +50,8 @@ def _simplex_core(tab, basis, cost):
                     best, row = ratio, i
         if row is None:
             return UNBOUNDED, col
-        _pivot(tab, basis, row, col)
+        _pivot(tab, row, col)
+        basis[row] = col
 
 
 def lp_optimize(n_vars, equalities, objective, direction="min", free=()):
@@ -111,7 +104,8 @@ def lp_optimize(n_vars, equalities, objective, direction="min", free=()):
         if basis[i] >= nt:
             col = next((j for j in range(nt) if tab[i][j] != 0), None)
             if col is not None:
-                _pivot(tab, basis, i, col)
+                _pivot(tab, i, col)
+                basis[i] = col
     # drop redundant rows still pinned to artificials, then artificial columns
     keep = [i for i in range(mc) if basis[i] < nt]
     tab = [tab[i][:nt] + [tab[i][-1]] for i in keep]

@@ -107,6 +107,11 @@ class TestCertify:
         rep = json.loads(out)
         assert rep["certificate"]["value"] == {"num": 1, "den": 1}
 
+    def test_budget_bounds_stable_sets(self, capsys):
+        # vertex targets enumerate the stable sets within --budget
+        assert main(["certify", "gallery:cycle(4)", "--target", "1", "--budget", "1"]) == 3
+        assert "budget of 1 steps exhausted" in capsys.readouterr().err
+
     def test_unknown_labels_exit_2(self, capsys):
         assert main(["certify", "gallery:cycle(4)", "--target", "9-9"]) == 2
 

@@ -250,9 +250,10 @@ class TestVerifyWeighting:
         assert (ones == expected) == verify_weighting(s, WeightFunction(w)).is_yes
 
     def test_ground_too_big(self):
-        s = star_system(generate("cycle(4)"))
-        with pytest.raises(BudgetExhausted):
-            verify_weighting(s, WeightFunction((Fraction(1, 2),) * 4), exhaustive_limit=3)
+        # 25 edges: one past the exhaustive limit
+        s = star_system(generate("cycle(25)"))
+        with pytest.raises(BudgetExhausted, match="exceeds exhaustive limit"):
+            verify_weighting(s, WeightFunction((Fraction(1, 2),) * 25))
 
 
 class TestDecide:

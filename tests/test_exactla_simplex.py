@@ -39,6 +39,16 @@ class TestSolveExact:
             assert sum(combo[i] * rows[i][j] for i in range(2)) == 0
         assert sum(combo[i] * rhs[i] for i in range(2)) != 0
 
+    def test_frozen_outputs(self):
+        # column 0 needs a row swap; rows 2 and 3 are redundant (r0 + 2 r1 and
+        # r1 - r0), so the combination depends on the pivot order and row layout
+        rows = [[0, 2, 1, 1], [1, 1, 0, 2], [2, 4, 1, 5], [1, -1, -1, 1]]
+        F = Fraction
+        assert solve_exact(rows, [1, 2, 5, 1]) == (
+            "solution", [F(3, 2), F(1, 2), F(0), F(0)],
+            [[F(1, 2), F(-1, 2), F(1), F(0)], [F(-3, 2), F(-1, 2), F(0), F(1)]])
+        assert solve_exact(rows, [1, 2, 6, 2]) == ("infeasible", [F(-1), F(-2), F(1), F(0)])
+
     @given(linear_systems())
     @settings(max_examples=80, deadline=None)
     def test_outputs_verify(self, sys_):
