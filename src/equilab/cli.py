@@ -163,19 +163,18 @@ def cmd_analyze(args) -> int:
     props = report["properties"]
     exhausted = False
 
-    def settle(key, graph, build, decide):
-        """Record decide's verdict on the set system build() returns under
-        `key`, or unknown when a budget runs out.  Returns the system, or
-        None when it came to unknown."""
+    def settle(key, graph, system, decide):
+        """Record decide's verdict on `system` under `key`, or unknown when a
+        budget runs out (also while the system was built: then `system` is
+        the BudgetExhausted it raised)."""
         nonlocal exhausted
         try:
-            system = build()
+            if isinstance(system, BudgetExhausted):
+                raise system
             props[key] = _verdict_json(graph, decide(system), system)
-            return system
         except BudgetExhausted as exc:
             props[key] = {"value": "unknown", "note": str(exc)}
             exhausted = True
-            return None
 
     def equi(system):
         return decide_equi_exact(system, seed=args.seed)
@@ -186,18 +185,22 @@ def cmd_analyze(args) -> int:
         props["equistarable"] = {"value": "undefined", "note": "isolated vertex"}
     else:
         star = star_system(g)
-        settle("equistarable", g, lambda: star, equi)
+        settle("equistarable", g, star, equi)
         if args.strong:
-            settle("strongly_equistarable", g, lambda: star, strong_check)
+            settle("strongly_equistarable", g, star, strong_check)
 
     if args.with_co_line:
         if g.m < 1:
             props["co_line"] = {"value": "undefined", "note": "no edges"}
         else:
             col = co_line(g).graph
-            stab = settle("equistable", col, lambda: stable_system(col, budget), equi)
-            if stab is not None and args.strong:
-                settle("strongly_equistable", col, lambda: stab, strong_check)
+            try:
+                stab = stable_system(col, budget)
+            except BudgetExhausted as exc:
+                stab = exc
+            settle("equistable", col, stab, equi)
+            if args.strong:
+                settle("strongly_equistable", col, stab, strong_check)
             tc = triangle_condition(col, budget)
             props["triangle_condition"] = _verdict_json(col, tc)
             gp = general_partition(col, budget)

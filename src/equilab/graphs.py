@@ -138,16 +138,21 @@ _COMMENT = re.compile(r"^\s*#")
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: one 'u v' edge per line, '#' comments,
-    'v <label>' isolated-vertex declarations.  Duplicate edges collapse."""
+    'v <label>' isolated-vertex declarations.  Duplicate edges collapse.
+
+    'v' is the declaration keyword, so it cannot label a vertex, and a
+    declared vertex may have no edges (the line could be the edge v-<label>)."""
     pairs: list[tuple[str, str]] = []
-    extras: list[str] = []
+    extras: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or _COMMENT.match(line):
             continue
         tokens = line.split()
+        if tokens[-1] == "v" and len(tokens) > 1:
+            raise GraphError(f"line {lineno}: 'v' is reserved and cannot label a vertex")
         if tokens[0] == "v" and len(tokens) == 2:
-            extras.append(tokens[1])
+            extras.setdefault(tokens[1], lineno)
             continue
         if len(tokens) != 2:
             raise GraphError(f"line {lineno}: expected two labels, got {line!r}")
@@ -155,11 +160,18 @@ def parse_edge_list(text: str) -> Graph:
         if a == b:
             raise GraphError(f"line {lineno}: self-loop on {a!r}")
         pairs.append((a, b))
+    if extras:
+        clash = next((lab for pair in pairs for lab in pair if lab in extras), None)
+        if clash is not None:
+            raise GraphError(f"line {extras[clash]}: 'v {clash}' declares an isolated "
+                             f"vertex, but {clash!r} has edges")
     return graph_from_label_pairs(pairs, extras)
 
 
 def format_edge_list(g: Graph) -> str:
     """Canonical edge-list text; isolated vertices via 'v <label>' lines."""
+    if "v" in g.labels:
+        raise GraphError("the label 'v' cannot be written: 'v' declares isolated vertices")
     lines = [f"v {g.labels[v]}" for v in range(g.n) if g.degree(v) == 0]
     lines.extend(f"{lu} {lv}" for lu, lv in (g.edge_labels(i) for i in range(g.m)))
     return "\n".join(lines) + "\n"

@@ -1,13 +1,15 @@
-"""Matching machinery: maximum bipartite matching, saturating matchings with
-Hall-violator witnesses, the alternating-component merge of two matchings,
-matchings covering a prescribed vertex set, perfect internal matchings, and
-k-/k-internal-extendability for k in {1, 2}.
+"""Matching machinery: perfect internal matchings (every uncovered vertex a
+leaf) extending a given matching, with Hall-violator or exhaustive-search
+witnesses, and k-/k-internal-extendability for k in {1, 2}.
 
-On a bipartite graph, k-internal extendability is a sweep over one graph: one
-base perfect internal matching is computed, and for each k-matching a copy of
-it loses the base edges at the k-matching's endpoints and is repaired by at
-most 2k alternating paths that avoid those endpoints.  All augmenting and
-repairing goes through `_augment`."""
+Every question is asked of the host graph itself; no remainder graph is
+built.  On a bipartite graph, a mate array is filled by leaf-ended
+alternating paths that avoid the fixed matching's endpoints (`_fill`, one
+`_augment` per exposed non-leaf); a failed search is itself the "no" witness,
+a set of non-leaves on one side with too few neighbours.  k-internal
+extendability fills one base matching and, for each k-matching, re-covers
+the at most 2k vertices the k-matching exposes in a copy of it.  Other
+graphs use an exhaustive search for the covering matching."""
 
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from .graphs import (
     bipartition as compute_bipartition,
     component_count,
     find_edge,
-    induced_subgraph,
 )
 
 
@@ -99,14 +100,16 @@ def check_hall_violator(g: Graph, hv: HallViolator, within: frozenset[int] | Non
 
 
 # ---------------------------------------------------------------------------
-# augmenting-path machinery (bipartite)
+# leaf-ended alternating paths (bipartite)
 
-def _augment(g: Graph, match: list[int], start: int,
-             avoid: frozenset[int] = frozenset(), leaf_ends: bool = False) -> bool:
+def _augment(g: Graph, mate: list[int], start: int, avoid: frozenset[int]):
     """One BFS-layered alternating-path search from the exposed vertex
-    `start`, in smallest-id order, that never enters `avoid`; the path found
-    is flipped.  It ends at an exposed vertex or, with `leaf_ends`, at a
-    matched leaf, which the flip leaves uncovered."""
+    `start`, in smallest-id order, that never enters `avoid`.  A path ending
+    at an exposed vertex or at a matched leaf (which the flip leaves
+    uncovered) is flipped, and None is returned.  Otherwise the reached
+    (same side, other side) sets are returned: every reached other-side
+    vertex is matched to a reached non-leaf, so the same-side set has fewer
+    neighbours outside `avoid` than members."""
     parent: dict[int, int] = {}
     frontier = [start]
     seen = {start}
@@ -117,234 +120,117 @@ def _augment(g: Graph, match: list[int], start: int,
                 if w in parent or w in avoid:
                     continue
                 parent[w] = u
-                mw = match[w]
-                if mw < 0 or (leaf_ends and g.degree(mw) == 1):
+                mw = mate[w]
+                if mw < 0 or g.degree(mw) == 1:
                     if mw >= 0:
-                        match[mw] = -1
+                        mate[mw] = -1
                     v = w
                     while True:
                         u2 = parent[v]
-                        prev = match[u2]
-                        match[u2] = v
-                        match[v] = u2
+                        prev = mate[u2]
+                        mate[u2] = v
+                        mate[v] = u2
                         if u2 == start:
-                            return True
+                            return None
                         v = prev
                 if mw not in seen:
                     seen.add(mw)
                     nxt.append(mw)
         frontier = nxt
-    return False
+    return frozenset(seen), frozenset(parent)
 
 
-def _matching_from_match_array(g: Graph, match: list[int], side: frozenset[int]) -> Matching:
-    eids = {find_edge(g, u, match[u]) for u in side if match[u] >= 0}
-    return Matching(frozenset(eids))
+def _fill(g: Graph, mate: list[int], m: Matching, starts):
+    """Seed the mate array with the edges of m, then cover each exposed
+    non-leaf of `starts`, in increasing order, by one leaf-ended alternating
+    path avoiding V(m).  Returns None when all are covered, or the reach of
+    the first start that cannot be.
 
-
-def max_matching_bipartite(g: Graph, b: Bipartition) -> Matching:
-    """Maximum-cardinality matching via augmenting paths; deterministic."""
-    match = [-1] * g.n
-    for u in sorted(b.side_a):
-        if match[u] < 0:
-            _augment(g, match, u)
-    m = _matching_from_match_array(g, match, b.side_a)
-    check_matching(g, m)
-    return m
-
-
-def saturating_matching(g: Graph, b: Bipartition, targets):
-    """Matching covering all of `targets` (subset of one side), or a Hall
-    violator X within the targets with |N(X)| < |X|."""
-    targets = frozenset(targets)
-    if targets <= b.side_a:
-        pass
-    elif targets <= b.side_b:
-        pass
-    else:
-        raise GraphError("targets must lie within one side of the bipartition")
-    match = [-1] * g.n
-    for t in sorted(targets):
-        if match[t] >= 0:
-            continue
-        if not _augment(g, match, t):
-            x, nbh = _alternating_reach(g, match, t)
-            hv = HallViolator(subset=frozenset(x), neighborhood=frozenset(nbh),
-                             context="saturation")
-            check_hall_violator(g, hv)
-            return hv
-    m = _matching_from_match_array(g, match, targets)
-    check_matching(g, m)
-    return m
-
-
-def _alternating_reach(g: Graph, match: list[int], start: int):
-    """Same-side vertices reachable from an exposed vertex by alternating
-    paths, together with the reached opposite side."""
-    same = {start}
-    other: set[int] = set()
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in g.adjacency[u]:
-            if w not in other:
-                other.add(w)
-                mw = match[w]
-                if mw >= 0 and mw not in same:
-                    same.add(mw)
-                    stack.append(mw)
-    return same, other
-
-
-def dm_merge(g: Graph, b: Bipartition, m_a: Matching, m_b: Matching) -> Matching:
-    """Sub-matching of M_A u M_B covering (A n V(M_A)) u (B n V(M_B)).
-
-    The union decomposes into alternating paths and cycles; in each component
-    one of the two pure selections retains the required covered vertices.
-    """
-    check_matching(g, m_a)
-    check_matching(g, m_b)
-    required = (b.side_a & covered_vertices(g, m_a)) | (b.side_b & covered_vertices(g, m_b))
-    union = m_a.edge_ids | m_b.edge_ids
-    # union components via vertex walk
-    vert_edges: dict[int, list[int]] = {}
-    for eid in union:
-        for v in g.edges[eid]:
-            vert_edges.setdefault(v, []).append(eid)
-    seen_e: set[int] = set()
-    chosen: set[int] = set()
-    for seed in sorted(union):
-        if seed in seen_e:
-            continue
-        comp_e = {seed}
-        comp_v = set(g.edges[seed])
-        stack = list(g.edges[seed])
-        while stack:
-            v = stack.pop()
-            for eid in vert_edges[v]:
-                if eid not in comp_e:
-                    comp_e.add(eid)
-                    for w in g.edges[eid]:
-                        if w not in comp_v:
-                            comp_v.add(w)
-                            stack.append(w)
-        seen_e |= comp_e
-        need = required & comp_v
-        for cand in (comp_e & m_a.edge_ids, comp_e & m_b.edge_ids):
-            cov = {v for eid in cand for v in g.edges[eid]}
-            if need <= cov:
-                chosen |= cand
-                break
-        else:
-            raise AssertionError("no pure selection covers the component requirement")
-    merged = Matching(frozenset(chosen))
-    check_matching(g, merged)
-    assert required <= covered_vertices(g, merged)
-    return merged
-
-
-def matching_covering(g: Graph, b: Bipartition, targets):
-    """Matching covering the (two-sided) vertex set `targets`, or a Hall
-    violator from one side."""
-    targets = frozenset(targets)
-    res_a = saturating_matching(g, b, targets & b.side_a)
-    if isinstance(res_a, HallViolator):
-        return res_a
-    res_b = saturating_matching(g, b, targets & b.side_b)
-    if isinstance(res_b, HallViolator):
-        return res_b
-    merged = dm_merge(g, b, res_a, res_b)
-    assert targets <= covered_vertices(g, merged)
-    return merged
+    This is exact: if some matching N of g - V(m) covers every non-leaf, the
+    component of (current matching) xor N that starts at an exposed non-leaf
+    is such a path, ending at an exposed vertex or at a matched leaf."""
+    fixed = frozenset(v for eid in m.edge_ids for v in g.edges[eid])
+    for eid in m.edge_ids:
+        u, v = g.edges[eid]
+        mate[u], mate[v] = v, u
+    for s in sorted(starts):
+        if mate[s] < 0 and g.degree(s) > 1:
+            reach = _augment(g, mate, s, fixed)
+            if reach is not None:
+                return reach
+    return None
 
 
 # ---------------------------------------------------------------------------
-# exhaustive searches (small non-bipartite remainders)
+# exhaustive search (non-bipartite graphs)
 
-def _exhaustive_cover(g: Graph, required: frozenset[int], budget: Budget) -> set[int] | None:
-    """Backtracking search for a matching (as edge-id set) covering `required`."""
-
-    def rec(req: list[int], used: set[int], acc: set[int]) -> set[int] | None:
+def _exhaustive_cover(g: Graph, required: frozenset[int], used: frozenset[int],
+                      budget: Budget) -> set[int] | None:
+    """Backtracking search for a matching (as edge-id set) of g - `used`
+    covering `required`.  The largest-id uncovered required vertex is matched
+    first, to its neighbours in increasing order; one budget step per search
+    node.  The search tree is walked on an explicit stack."""
+    req = sorted(required, reverse=True)
+    used = set(used)
+    chosen: list[int] = []
+    stack = []  # per open node: (vertex, required prefix left, neighbour iterator)
+    i = len(req)
+    while True:
         budget.spend()
-        while req and req[-1] in used:
-            req = req[:-1]
-        if not req:
-            return set(acc)
-        v = req[-1]
-        for w in g.adjacency[v]:
-            if w in used:
-                continue
-            eid = find_edge(g, v, w)
-            used.update((v, w))
-            acc.add(eid)
-            out = rec(req[:-1], used, acc)
-            if out is not None:
-                return out
-            acc.discard(eid)
-            used.difference_update((v, w))
-        return None
-
-    return rec(sorted(required, reverse=True), set(), set())
-
-
-def _exhaustive_perfect_matching(g: Graph, budget: Budget) -> set[int] | None:
-    if g.n % 2:
-        return None
-    return _exhaustive_cover(g, frozenset(range(g.n)), budget)
+        while i and req[i - 1] in used:
+            i -= 1
+        if not i:
+            return set(chosen)
+        v = req[i - 1]
+        stack.append((v, i - 1, iter(g.adjacency[v])))
+        while True:
+            v, i, nbrs = stack[-1]
+            w = next((w for w in nbrs if w not in used), None)
+            if w is not None:
+                break
+            stack.pop()
+            if not stack:
+                return None
+            used.difference_update(g.edges[chosen.pop()])
+        used.update((v, w))
+        chosen.append(find_edge(g, v, w))
 
 
 # ---------------------------------------------------------------------------
 # perfect internal matchings and extendability
 
-def extend_to_perfect_internal(g: Graph, m: Matching, b: Bipartition | None = None,
-                               budget: Budget | int | None = None):
+def extend_to_perfect_internal(g: Graph, m: Matching, budget: Budget | int | None = None):
     """Extend matching `m` to a matching whose uncovered vertices are all
     leaves of g, or return a failure witness.
 
     Reduction: the extension exists iff g - V(m) has a matching covering
-    U = {u not covered by m : deg_g(u) > 1}.  Bipartite graphs use the
-    Hall/merge construction (witness: HallViolator in g - V(m)); other graphs
-    fall back to exhaustive search (witness: CoverFailure).
+    U = {u not covered by m : deg_g(u) > 1}.  Bipartite graphs fill a mate
+    array by leaf-ended alternating paths (witness: a one-sided HallViolator
+    of non-leaves in g - V(m)); other graphs fall back to exhaustive search
+    (witness: CoverFailure).
     """
     check_matching(g, m)
-    budget = make_budget(budget)
-    cov = covered_vertices(g, m)
-    rest = frozenset(range(g.n)) - cov
-    sub, old_ids = induced_subgraph(g, rest)
-    pos = {v: i for i, v in enumerate(old_ids)}
-    u_set = frozenset(pos[v] for v in rest if g.degree(v) > 1)
-
-    if b is None:
-        b = compute_bipartition(g)
-        if not isinstance(b, Bipartition):
-            b = None
-    if isinstance(b, Bipartition):
-        sub_b = Bipartition(
-            side_a=frozenset(pos[v] for v in rest if v in b.side_a),
-            side_b=frozenset(pos[v] for v in rest if v in b.side_b),
-        )
-        res = matching_covering(sub, sub_b, u_set)
-        if isinstance(res, HallViolator):
-            return HallViolator(
-                subset=frozenset(old_ids[v] for v in res.subset),
-                neighborhood=frozenset(old_ids[v] for v in res.neighborhood),
-                context="internal extension",
-            )
-        extra = res.edge_ids
+    fixed = covered_vertices(g, m)
+    rest = frozenset(range(g.n)) - fixed
+    if isinstance(compute_bipartition(g), Bipartition):
+        mate = [-1] * g.n
+        reach = _fill(g, mate, m, range(g.n))
+        if reach is not None:
+            hv = HallViolator(subset=reach[0], neighborhood=reach[1],
+                              context="internal extension")
+            check_hall_violator(g, hv, within=rest)
+            return hv
+        eids = frozenset(find_edge(g, v, w) for v, w in enumerate(mate) if v < w)
     else:
-        found = _exhaustive_cover(sub, u_set, budget)
+        required = frozenset(v for v in rest if g.degree(v) > 1)
+        found = _exhaustive_cover(g, required, fixed, make_budget(budget))
         if found is None:
             return CoverFailure(
-                required=frozenset(old_ids[v] for v in u_set),
+                required=required,
                 note="no matching in the remainder covers the non-leaf vertices",
             )
-        extra = frozenset(found)
-
-    eids = set(m.edge_ids)
-    for eid in extra:
-        u, v = sub.edges[eid]
-        eids.add(find_edge(g, old_ids[u], old_ids[v]))
-    full = Matching(frozenset(eids))
+        eids = m.edge_ids | found
+    full = Matching(eids)
     im = InternalMatching(matching=full, uncovered=frozenset(range(g.n)) - covered_vertices(g, full))
     check_internal_matching(g, im)
     return im
@@ -369,26 +255,18 @@ def _repair(g: Graph, base: list[int], m: Matching) -> bool:
     """Whether the k-matching `m` extends to a perfect internal matching,
     given one perfect internal matching `base` of bipartite g as a mate array.
 
-    The base edges at the fixed endpoints V(m) are removed; then, for each
-    exposed non-leaf, an alternating path avoiding V(m) is flipped.  This is
-    exact: if some matching N of g - V(m) covers every non-leaf, the component
-    of (current matching) xor N that starts at an exposed non-leaf is such a
-    path, ending at an exposed vertex or at a matched leaf."""
+    The base edges at the fixed endpoints V(m) are removed, and `_fill`
+    re-covers the at most 2k vertices this exposed."""
     mate = list(base)
-    fixed = frozenset(v for eid in m.edge_ids for v in g.edges[eid])
     exposed = []
-    for x in fixed:
-        y = mate[x]
-        if y >= 0:
-            mate[y] = -1
-            exposed.append(y)
     for eid in m.edge_ids:
-        u, v = g.edges[eid]
-        mate[u], mate[v] = v, u
-    for s in sorted(exposed):
-        if mate[s] < 0 and g.degree(s) > 1:
-            if not _augment(g, mate, s, avoid=fixed, leaf_ends=True):
-                return False
+        for x in g.edges[eid]:
+            y = mate[x]
+            if y >= 0:
+                mate[y] = -1
+                exposed.append(y)
+    if _fill(g, mate, m, exposed) is not None:
+        return False
     _check_internal_mate(g, mate, m)
     return True
 
@@ -422,23 +300,20 @@ def is_k_internally_extendable(g: Graph, k: int, budget: Budget | int | None = N
     if component_count(g) != 1:
         raise GraphError("graph must be connected")
     budget = make_budget(budget)
-    b = compute_bipartition(g)
-    bipartite = isinstance(b, Bipartition)
-    mate = None
+    bipartite = isinstance(compute_bipartition(g), Bipartition)
     if bipartite:
-        base = extend_to_perfect_internal(g, Matching(frozenset()), b)
-        if isinstance(base, InternalMatching):
-            mate = [-1] * g.n
-            for eid in base.matching.edge_ids:
-                u, v = g.edges[eid]
-                mate[u], mate[v] = v, u
+        base = [-1] * g.n
+        if _fill(g, base, Matching(frozenset()), range(g.n)) is not None:
+            base = None
     any_matching = False
     for m in _k_matchings(g, k):
         any_matching = True
         if bipartite:
-            ok = mate is not None and _repair(g, mate, m)
+            ok = base is not None and _repair(g, base, m)
         else:
-            ok = isinstance(extend_to_perfect_internal(g, m, None, budget), InternalMatching)
+            fixed = covered_vertices(g, m)
+            required = frozenset(v for v in range(g.n) if v not in fixed and g.degree(v) > 1)
+            ok = _exhaustive_cover(g, required, fixed, budget) is not None
         if not ok:
             return False, m
     if not any_matching:
@@ -458,9 +333,9 @@ def is_k_extendable(g: Graph, k: int, budget: Budget | int | None = None):
     any_matching = False
     for m in _k_matchings(g, k):
         any_matching = True
-        rest = frozenset(range(g.n)) - covered_vertices(g, m)
-        sub, _ = induced_subgraph(g, rest)
-        if _exhaustive_perfect_matching(sub, budget) is None:
+        fixed = covered_vertices(g, m)
+        rest = frozenset(range(g.n)) - fixed
+        if g.n % 2 or _exhaustive_cover(g, rest, fixed, budget) is None:
             return False, m
     if not any_matching:
         return False, "no k-matching"

@@ -1,9 +1,9 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracles deliberately avoid the package's own machinery: subset
-enumeration via itertools, stable sets by definition, matchings by
-backtracking over edge subsets.  Frozen expectations in the tests were
-produced by these oracles (or checked against networkx/sympy/scipy).
+enumeration via itertools, stable sets by definition.  Frozen expectations
+in the tests were produced by these oracles (or checked against
+networkx/sympy/scipy).
 """
 
 import itertools
@@ -51,26 +51,6 @@ def oracle_maximal_cliques(g: Graph):
         tuple(sorted(c)) for c in cliques
         if not any(c < d for d in cliques)
     )
-
-
-def oracle_max_matching_size(g: Graph) -> int:
-    best = 0
-    for r in range(g.m, 0, -1):
-        if r <= best:
-            break
-        for combo in itertools.combinations(range(g.m), r):
-            used = set()
-            ok = True
-            for eid in combo:
-                u, v = g.edges[eid]
-                if u in used or v in used:
-                    ok = False
-                    break
-                used.update((u, v))
-            if ok:
-                best = max(best, r)
-                break
-    return best
 
 
 def oracle_unit_subsets(g: Graph, weights):

@@ -72,6 +72,14 @@ class TestAnalyze:
         assert props["strongly_equistable"]["value"] == "unknown"
         assert "strong-check limit" in props["strongly_equistable"]["note"]
 
+    def test_budget_stop_keeps_strongly_equistable(self, capsys):
+        # a budget stop while the co-line's stable sets are enumerated leaves
+        # both co-line verdicts unknown, as a stop on the star system does
+        code, out = run(capsys, ["analyze", "gallery:cycle(6)", "--strong",
+                                 "--with-co-line", "--budget", "1", "--text"])
+        assert code == 3
+        assert "  equistable: unknown\n  strongly_equistable: unknown\n" in out
+
     def test_determinism(self, capsys):
         _, first = run(capsys, ["analyze", "gallery:graph_h", "--strong", "--seed", "3"])
         _, second = run(capsys, ["analyze", "gallery:graph_h", "--strong", "--seed", "3"])

@@ -112,6 +112,28 @@ class TestParsing:
         assert g.n == 4 and g.m == 3
         assert same_labeled_graph(g, parse_edge_list(format_edge_list(g)))
 
+    def test_declared_vertex_with_edges_rejected(self):
+        # 'v a' declares a isolated; with the edge a-b it could as well be
+        # the edge v-a, so the text is refused instead of dropping v
+        with pytest.raises(GraphError, match="line 1: 'v a' declares"):
+            parse_edge_list("v a\na b\n")
+        assert parse_edge_list("v a\nb c\n").n == 3
+
+    def test_label_v_is_reserved(self):
+        g = make_graph(("v", "a", "b"), [(0, 1), (1, 2)])
+        with pytest.raises(GraphError, match="label 'v'"):
+            format_edge_list(g)
+        for text in ("a v\n", "v v\n"):
+            with pytest.raises(GraphError, match="line 1: 'v' is reserved"):
+                parse_edge_list(text)
+
+    def test_gallery_round_trip(self):
+        for desc in ("cycle(4)", "cycle(6)", "path(5)", "complete_bipartite(3,3)",
+                     "complete_bipartite(4,3)", "kmn_plus(2,3)", "petersen",
+                     "circulant(11,{1,3})", "graph_h"):
+            g = generate(desc)
+            assert same_labeled_graph(parse_edge_list(format_edge_list(g)), g), desc
+
     def test_bad_line_reports_lineno(self):
         with pytest.raises(GraphError, match="line 2"):
             parse_edge_list("a b\na b c\n")

@@ -1,15 +1,17 @@
+import sys
+
+import networkx as nx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import equilab.matching as matching
-from equilab.common import GraphError
+import equilab.graphs as graphs
+from equilab.common import Budget, GraphError
 from equilab.graphs import (
     Bipartition,
     bipartition,
     component_count,
     generate,
     make_graph,
-    parse_edge_list,
 )
 from equilab.matching import (
     CoverFailure,
@@ -19,20 +21,13 @@ from equilab.matching import (
     _k_matchings,
     check_hall_violator,
     check_internal_matching,
-    check_matching,
     covered_vertices,
-    dm_merge,
     extend_to_perfect_internal,
     is_k_extendable,
     is_k_internally_extendable,
-    matching_covering,
-    max_matching_bipartite,
     plummer_condition,
-    saturating_matching,
 )
 from equilab.recognizers import recognize_equistarable_bipartite
-
-from conftest import oracle_max_matching_size
 
 
 @st.composite
@@ -58,89 +53,32 @@ def bipartite_with_leaves(draw):
     return h
 
 
+def covers_non_leaves(g, m):
+    """Whether g - V(m) has a matching covering every vertex of degree >= 2
+    in g, by a maximum-weight matching (networkx) whose edge weight is the
+    number of such endpoints."""
+    fixed = covered_vertices(g, m)
+    need = [v for v in range(g.n) if v not in fixed and g.degree(v) > 1]
+    rest = nx.Graph()
+    for u, v in g.edges:
+        if u not in fixed and v not in fixed:
+            rest.add_edge(u, v, weight=(g.degree(u) > 1) + (g.degree(v) > 1))
+    best = nx.max_weight_matching(rest)
+    return sum(rest[u][v]["weight"] for u, v in best) == len(need)
+
+
 def reference_internal_extendability(g, k):
-    """The sweep's definition: one full extension per k-matching."""
+    """The sweep's definition, decided by an oracle that shares no code with
+    the sweep; `extend_to_perfect_internal` must agree with it on every
+    k-matching."""
     any_matching = False
     for m in _k_matchings(g, k):
         any_matching = True
-        if not isinstance(extend_to_perfect_internal(g, m), InternalMatching):
+        ok = covers_non_leaves(g, m)
+        assert isinstance(extend_to_perfect_internal(g, m), InternalMatching) == ok
+        if not ok:
             return False, m
     return (True, None) if any_matching else (False, "no k-matching")
-
-
-class TestMaxMatching:
-    def test_perfect_on_even_cycle(self):
-        g = generate("cycle(8)")
-        b = bipartition(g)
-        m = max_matching_bipartite(g, b)
-        assert m.size == 4
-
-    @given(random_bipartite())
-    @settings(max_examples=60, deadline=None)
-    def test_size_matches_oracle(self, gb):
-        g, b = gb
-        m = max_matching_bipartite(g, b)
-        check_matching(g, m)
-        assert m.size == oracle_max_matching_size(g)
-
-    def test_deterministic(self):
-        g = generate("complete_bipartite(3,3)")
-        b = bipartition(g)
-        assert max_matching_bipartite(g, b) == max_matching_bipartite(g, b)
-
-
-class TestSaturation:
-    def test_saturates_one_side(self):
-        g = generate("complete_bipartite(2,4)")
-        b = bipartition(g)
-        res = saturating_matching(g, b, b.side_a)
-        assert isinstance(res, Matching)
-        assert b.side_a <= covered_vertices(g, res)
-
-    def test_hall_violator(self):
-        # two a-vertices sharing a single neighbor
-        g = parse_edge_list("a1 b\na2 b\n")
-        b = bipartition(g)
-        res = saturating_matching(g, b, {0, 2})
-        assert isinstance(res, HallViolator)
-        check_hall_violator(g, res)
-
-    def test_rejects_two_sided_targets(self):
-        g = generate("path(4)")
-        b = bipartition(g)
-        with pytest.raises(GraphError):
-            saturating_matching(g, b, {0, 1})
-
-
-class TestMergeAndCovering:
-    def test_merge_preserves_required_cover(self):
-        g = generate("path(4)")
-        b = bipartition(g)
-        m_a = saturating_matching(g, b, b.side_a)
-        m_b = saturating_matching(g, b, b.side_b)
-        merged = dm_merge(g, b, m_a, m_b)
-        assert frozenset(range(g.n)) <= covered_vertices(g, merged)
-
-    def test_two_sided_cover_on_path(self):
-        # middle vertices of P4: one per side, coverable despite no
-        # single-sided saturation of the pair
-        g = generate("path(4)")
-        b = bipartition(g)
-        res = matching_covering(g, b, {1, 2})
-        assert isinstance(res, Matching)
-        assert {1, 2} <= covered_vertices(g, res)
-
-    @given(random_bipartite())
-    @settings(max_examples=40, deadline=None)
-    def test_covering_result_checks_out(self, gb):
-        g, b = gb
-        targets = frozenset(v for v in range(g.n) if g.degree(v) > 0)
-        res = matching_covering(g, b, targets)
-        if isinstance(res, Matching):
-            check_matching(g, res)
-            assert targets <= covered_vertices(g, res)
-        else:
-            check_hall_violator(g, res)
 
 
 class TestPerfectInternal:
@@ -163,6 +101,35 @@ class TestPerfectInternal:
         res = extend_to_perfect_internal(g, Matching(frozenset()))
         # K3: one edge covers two vertices, the third has degree 2 > 1
         assert isinstance(res, CoverFailure)
+
+    @given(bipartite_with_leaves())
+    @settings(max_examples=60, deadline=None)
+    def test_failures_are_one_sided_hall_violators(self, g):
+        b = bipartition(g)
+        for k in (1, 2):
+            for m in _k_matchings(g, k):
+                res = extend_to_perfect_internal(g, m)
+                if isinstance(res, InternalMatching):
+                    check_internal_matching(g, res)
+                    assert m.edge_ids <= res.matching.edge_ids
+                    continue
+                assert isinstance(res, HallViolator)
+                check_hall_violator(g, res, within=frozenset(range(g.n)) - covered_vertices(g, m))
+                assert res.subset <= b.side_a or res.subset <= b.side_b
+                assert all(g.degree(v) >= 2 for v in res.subset)
+
+    def test_long_odd_cycle_search_does_not_recurse(self):
+        # the search is about 1000 nodes deep; run at the default limit
+        assert sys.getrecursionlimit() <= 1000
+        g = generate("cycle(2001)")
+        budget = Budget(10**7)
+        res = extend_to_perfect_internal(g, Matching(frozenset()), budget)
+        assert isinstance(res, CoverFailure)
+        assert res.required == frozenset(range(g.n)) and budget.used == 2001
+        pendant = make_graph(g.labels + ("leaf",), list(g.edges) + [(0, g.n)])
+        res = extend_to_perfect_internal(pendant, Matching(frozenset()))
+        assert isinstance(res, InternalMatching)
+        check_internal_matching(pendant, res)
 
 
 class TestExtendability:
@@ -203,22 +170,16 @@ class TestExtendability:
         assert sorted(g.edge_name(e) for e in wit.edge_ids) == ["a1-b1", "b2-l2"]
 
     def test_one_extension_per_component(self, monkeypatch):
-        # the sweep repairs one base matching; rebuilding a subgraph and a
-        # full matching per 2-matching would call these ~10^3 times here
-        calls = {"extend_to_perfect_internal": 0, "induced_subgraph": 0}
-
-        def counted(name):
-            fn = getattr(matching, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-        for name in calls:
-            monkeypatch.setattr(matching, name, counted(name))
+        # each component is copied once for classification; the sweep itself
+        # builds no graph (rebuilding a remainder per 2-matching would call
+        # make_graph ~10^3 times here)
         g = generate("complete_bipartite(6,6)+cycle(4)")
+        builds = []
+        build = graphs.make_graph
+        monkeypatch.setattr(graphs, "make_graph",
+                            lambda *args: builds.append(args) or build(*args))
         assert recognize_equistarable_bipartite(g).is_yes
-        assert calls == {"extend_to_perfect_internal": 2, "induced_subgraph": 2}
+        assert len(builds) == 2
 
     def test_k33_two_extendable(self):
         ok, _ = is_k_extendable(generate("complete_bipartite(3,3)"), 2)
