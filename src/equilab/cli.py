@@ -140,6 +140,8 @@ def _verdict_json(g, v: Verdict, system: SetSystem | None = None):
 # analyze
 
 def cmd_analyze(args) -> int:
+    """Print g's property panel.  With --with-co-line, the co-line verdicts copy
+    the star ones, budget stops included, when `SetSystem.same_members` holds."""
     try:
         g = _load_graph(args.input)
     except (GraphError, OSError) as exc:
@@ -181,10 +183,10 @@ def cmd_analyze(args) -> int:
 
     props["p5_constrained"] = _verdict_json(g, is_p5_constrained(g))
 
-    if any(g.degree(v) == 0 for v in range(g.n)):
+    star = None if any(g.degree(v) == 0 for v in range(g.n)) else star_system(g)
+    if star is None:
         props["equistarable"] = {"value": "undefined", "note": "isolated vertex"}
     else:
-        star = star_system(g)
         settle("equistarable", g, star, equi)
         if args.strong:
             settle("strongly_equistarable", g, star, strong_check)
@@ -198,9 +200,14 @@ def cmd_analyze(args) -> int:
                 stab = stable_system(col, budget)
             except BudgetExhausted as exc:
                 stab = exc
-            settle("equistable", col, stab, equi)
-            if args.strong:
-                settle("strongly_equistable", col, stab, strong_check)
+            if star is not None and isinstance(stab, SetSystem) and stab.same_members(star):
+                props["equistable"] = props["equistarable"]
+                if args.strong:
+                    props["strongly_equistable"] = props["strongly_equistarable"]
+            else:
+                settle("equistable", col, stab, equi)
+                if args.strong:
+                    settle("strongly_equistable", col, stab, strong_check)
             tc = triangle_condition(col, budget)
             props["triangle_condition"] = _verdict_json(col, tc)
             gp = general_partition(col, budget)

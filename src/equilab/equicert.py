@@ -55,6 +55,10 @@ class SetSystem:
     def family_masks(self) -> tuple[int, ...]:
         return tuple(self.member_mask(j) for j in range(len(self.family)))
 
+    def same_members(self, other: SetSystem) -> bool:
+        """Equal but for `source`: every engine verdict on self holds for other."""
+        return self.element_names == other.element_names and self.family == other.family
+
 
 def check_set_system(s: SetSystem) -> None:
     if len(s.element_names) != s.ground_size:
@@ -147,18 +151,13 @@ def star_system(g: Graph) -> SetSystem:
         raise GraphError("isolated vertex: star systems are undefined")
     if g.n == 0:
         raise GraphError("empty graph")
-    from .graphs import edge_index
-
-    eidx = edge_index(g)
-    stars = []
-    for v in range(g.n):
-        star = frozenset(eidx[(min(v, w), max(v, w))] for w in g.adjacency[v])
-        stars.append(star)
-    maximal = []
-    for s in stars:
-        if not any(s < t for t in stars):
-            maximal.append(s)
-    family = sorted(set(tuple(sorted(s)) for s in maximal))
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    # only a leaf's star can lie inside another: its neighbour's, unless in a K2
+    family = sorted(set(tuple(s) for v, s in enumerate(incident)
+                        if len(s) > 1 or g.degree(g.adjacency[v][0]) == 1))
     names = tuple(g.edge_name(i) for i in range(g.m))
     sys = SetSystem(ground_size=g.m, element_names=names, family=tuple(family),
                     source="stars")

@@ -311,7 +311,10 @@ def crosscheck_table1(g: Graph, budget: Budget | int | None = None) -> Crosschec
     Rows, top to bottom: components all star-or-2-internally-extendable vs
     general partition; strong weighting existence on stars vs stable sets;
     weighting existence on stars vs stable sets; five-path constraint vs
-    triangle condition.  Any recorded violation is a genuine bug.
+    triangle condition.  Any recorded violation is a genuine bug.  When the
+    stable system is the star system (`SetSystem.same_members`), the strong
+    and weighting rows copy the left verdict to the right; otherwise that is
+    a violation and the right side is decided on its own.
     """
     from .equicert import decide_equi_exact, stable_system, star_system, strong_check
     from .transforms import co_line
@@ -335,7 +338,8 @@ def crosscheck_table1(g: Graph, budget: Budget | int | None = None) -> Crosschec
 
     # the maximal stable sets of the co-line graph are exactly the maximal
     # stars of g (edge sets of pairwise intersecting edges, triangle-free)
-    if set(star.family) != set(stab.family):
+    same = stab.same_members(star)
+    if not same:
         violations.append("star family differs from co-line stable family")
 
     cls = component_classification(g, budget)
@@ -345,13 +349,13 @@ def crosscheck_table1(g: Graph, budget: Budget | int | None = None) -> Crosschec
 
     if star.ground_size <= DEFAULT_STRONG_GROUND_LIMIT:
         left2 = strong_check(star)
-        right2 = strong_check(stab)
+        right2 = left2 if same else strong_check(stab)
         report.rows[ROW_STRONG] = RowOutcome(left2, right2)
     else:
         skipped.append(ROW_STRONG)
 
     left3 = decide_equi_exact(star)
-    right3 = decide_equi_exact(stab)
+    right3 = left3 if same else decide_equi_exact(stab)
     report.rows[ROW_EQUI] = RowOutcome(left3, right3)
 
     left4 = is_p5_constrained(g)

@@ -79,6 +79,32 @@ def oracle_maximal_stars(g: Graph):
 # ---------------------------------------------------------------------------
 # small graph helpers
 
+# the nine graphs of the benchmark's gallery workload
+GALLERY = (
+    "cycle(4)",
+    "cycle(6)",
+    "path(5)",
+    "complete_bipartite(3,3)",
+    "complete_bipartite(4,3)",
+    "kmn_plus(2,3)",
+    "petersen",
+    "circulant(11,{1,3})",
+    "graph_h",
+)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so that every call adds one to the returned counter."""
+    calls = [0]
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def graph_from_pairs(pairs):
     labels = sorted({str(x) for p in pairs for x in p})
     pos = {l: i for i, l in enumerate(labels)}
@@ -146,6 +172,18 @@ def bipartite8():
     from equilab.corpus import connected_bipartite_graphs
 
     return connected_bipartite_graphs(8)
+
+
+@pytest.fixture(scope="session")
+def triangle_free7():
+    """The 89 connected triangle-free graphs with 2 <= n <= 7, read from the
+    networkx graph atlas rather than the package's own generator."""
+    import networkx as nx
+
+    return [make_graph(_default_labels(h.number_of_nodes()), list(h.edges()))
+            for h in nx.graph_atlas_g()
+            if h.number_of_edges() and nx.is_connected(h)
+            and not any(nx.triangles(h).values())]
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,14 @@
+import io
 import json
 
 import pytest
 
+from equilab import cli
 from equilab.cli import main
 from equilab.equicert import certificate_from_json, star_system
 from equilab.graphs import generate, parse_edge_list
 
-from conftest import same_labeled_graph
+from conftest import count_calls, same_labeled_graph
 
 
 def run(capsys, argv):
@@ -48,8 +50,6 @@ class TestAnalyze:
         assert rep["properties"]["equistable"]["value"] == "yes"
 
     def test_stdin_input(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO("a b\nb c\n"))
         code, out = run(capsys, ["analyze", "-"])
         assert code == 0
@@ -72,13 +72,40 @@ class TestAnalyze:
         assert props["strongly_equistable"]["value"] == "unknown"
         assert "strong-check limit" in props["strongly_equistable"]["note"]
 
-    def test_budget_stop_keeps_strongly_equistable(self, capsys):
+    def test_budget_stop_keeps_strongly_equistable(self, capsys, monkeypatch):
         # a budget stop while the co-line's stable sets are enumerated leaves
-        # both co-line verdicts unknown, as a stop on the star system does
+        # both co-line verdicts unknown, as a stop on the star system does;
+        # the star verdicts (no) are not copied over
+        decide = count_calls(monkeypatch, cli, "decide_equi_exact")
+        strong = count_calls(monkeypatch, cli, "strong_check")
         code, out = run(capsys, ["analyze", "gallery:cycle(6)", "--strong",
                                  "--with-co-line", "--budget", "1", "--text"])
         assert code == 3
         assert "  equistable: unknown\n  strongly_equistable: unknown\n" in out
+        assert (decide[0], strong[0]) == (1, 1)
+
+    def test_co_line_verdicts_copy_star_verdicts(self, capsys, monkeypatch):
+        decide = count_calls(monkeypatch, cli, "decide_equi_exact")
+        strong = count_calls(monkeypatch, cli, "strong_check")
+        _, out = run(capsys, ["analyze", "gallery:cycle(6)", "--strong",
+                              "--with-co-line"])
+        props = json.loads(out)["properties"]
+        assert (decide[0], strong[0]) == (1, 1)
+        assert props["equistable"] == props["equistarable"]
+        assert props["strongly_equistable"] == props["strongly_equistarable"]
+
+    @pytest.mark.parametrize("text,calls", [
+        ("a b\nb c\nc a\nc d\n", 2),  # a triangle: the co-line system differs
+        ("a b\nb c\nv d\n", 1),        # an isolated vertex: no star system
+    ])
+    def test_co_line_decided_on_its_own(self, capsys, monkeypatch, text, calls):
+        decide = count_calls(monkeypatch, cli, "decide_equi_exact")
+        strong = count_calls(monkeypatch, cli, "strong_check")
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out = run(capsys, ["analyze", "-", "--strong", "--with-co-line"])
+        assert code == 0
+        assert (decide[0], strong[0]) == (calls, calls)
+        assert json.loads(out)["properties"]["equistable"]["value"] in ("yes", "no")
 
     def test_determinism(self, capsys):
         _, first = run(capsys, ["analyze", "gallery:graph_h", "--strong", "--seed", "3"])

@@ -43,7 +43,7 @@ from equilab.graphs import find_edge_by_name, generate, make_graph, parse_edge_l
 from equilab.simplex import INFEASIBLE, UNBOUNDED, lp_optimize
 from equilab.transforms import co_line, disjoint_union
 
-from conftest import oracle_maximal_stars, oracle_unit_subsets
+from conftest import GALLERY, count_calls, oracle_maximal_stars, oracle_unit_subsets
 
 
 def edge_ids(g, names):
@@ -99,16 +99,6 @@ def assert_support_matches_reference(s):
     assert strong_check(s) == verdict
 
 
-def count_lp_calls(monkeypatch):
-    calls = [0]
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return lp_optimize(*args, **kwargs)
-    monkeypatch.setattr(equicert, "lp_optimize", counted)
-    return calls
-
-
 class TestSystems:
     def test_k2_star_system(self):
         s = star_system(generate("path(2)"))
@@ -127,9 +117,12 @@ class TestSystems:
         with pytest.raises(GraphError):
             star_system(make_graph(("a", "b", "c"), [(0, 1)]))
 
-    def test_star_family_matches_oracle(self, small_bipartite_corpus):
-        for g in small_bipartite_corpus:
-            assert star_system(g).family == tuple(oracle_maximal_stars(g))
+    def test_star_family_matches_oracle(self, bipartite8, triangle_free7):
+        # a K2 component has two equal stars; a star graph has one maximal star
+        extra = [generate(d) for d in GALLERY + ("complete_bipartite(1,1)+path(3)",
+                                                 "complete_bipartite(1,4)")]
+        for g in bipartite8 + triangle_free7 + extra:
+            assert star_system(g).family == tuple(oracle_maximal_stars(g)), g.edges
 
     def test_stable_system_of_triangle(self):
         s = stable_system(generate("complete(3)"))
@@ -353,7 +346,7 @@ class TestStrong:
     def test_lp_calls_per_strong_check(self, monkeypatch):
         # the support search takes 2-4 LPs here, plus 2 to re-verify the
         # graph_h and petersen witnesses; one LP per element took 17-18
-        calls = count_lp_calls(monkeypatch)
+        calls = count_calls(monkeypatch, equicert, "lp_optimize")
         counts = {}
         for desc in ("graph_h", "petersen", "complete_bipartite(4,4)"):
             g = generate(desc)
@@ -380,7 +373,7 @@ class TestStrong:
     def test_uncovered_element_is_in_support(self, monkeypatch):
         # element 2 lies in no member, so it is unbounded
         s = SetSystem(3, ("a", "b", "c"), ((0, 1),))
-        calls = count_lp_calls(monkeypatch)
+        calls = count_calls(monkeypatch, equicert, "lp_optimize")
         assert _support_search(s, _unit_equations(s))[0] == {0, 1, 2}
         assert calls[0] == 2
         assert_support_matches_reference(s)
@@ -393,7 +386,7 @@ class TestStrong:
                       ((0, 1), (2, 3), (4, 5), (0, 2, 4), (1, 3, 5, 6)))
         check_set_system(s)
         assert isinstance(solve_unit_system(s), AffineSolutionSpace)
-        calls = count_lp_calls(monkeypatch)
+        calls = count_calls(monkeypatch, equicert, "lp_optimize")
         assert strong_check(s) == no(EmptyPolytope())
         assert calls[0] == 1
         assert_support_matches_reference(s)
@@ -404,7 +397,7 @@ class TestStrong:
         s = SetSystem(6, tuple("abcdef"),
                       ((0, 1), (1, 2), (0, 2, 3), (0, 4), (1, 4, 5)))
         check_set_system(s)
-        calls = count_lp_calls(monkeypatch)
+        calls = count_calls(monkeypatch, equicert, "lp_optimize")
         support, center = _support_search(s, _unit_equations(s))
         assert calls[0] == 2
         assert support == {0, 1, 2, 4}
@@ -416,7 +409,7 @@ class TestStrong:
     def test_two_positive_rounds(self, monkeypatch):
         # the first optimizer is a vertex with one positive coordinate
         s = SetSystem(2, ("a", "b"), ((0, 1),))
-        calls = count_lp_calls(monkeypatch)
+        calls = count_calls(monkeypatch, equicert, "lp_optimize")
         support, center = _support_search(s, _unit_equations(s))
         assert calls[0] == 2
         assert support == {0, 1} and center == [Fraction(1, 2)] * 2

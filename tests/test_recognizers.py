@@ -1,12 +1,18 @@
+import dataclasses
+import random
+
 import pytest
 
-from equilab import recognizers
+from equilab import equicert, recognizers
 from equilab.common import GraphError
-from equilab.equicert import decide_equi_exact, star_system
+from equilab.corpus import random_connected_triangle_free
+from equilab.equicert import decide_equi_exact, stable_system, star_system
 from equilab.graphs import generate, graph_from_label_pairs, make_graph
 from equilab.matching import Matching
 from equilab.recognizers import (
     NEITHER,
+    ROW_EQUI,
+    ROW_STRONG,
     STAR,
     TWO_INTERNALLY_EXTENDABLE,
     FivePath,
@@ -21,6 +27,8 @@ from equilab.recognizers import (
     triangle_condition,
 )
 from equilab.transforms import co_line
+
+from conftest import count_calls
 
 
 def spider(legs: int, leg_len: int):
@@ -218,3 +226,41 @@ class TestCrosscheck:
         for g in triangle_free_corpus:
             rep = crosscheck_table1(g)
             assert not rep.violations, g.edges
+
+    def test_co_line_stable_system_is_star_system(self, triangle_free7, bipartite8):
+        # exact equality, family order included: the harness reuses the star
+        # verdicts for the co-line side only under it
+        rng = random.Random(7)
+        randoms = [random_connected_triangle_free(rng.randint(7, 9), 0.25, rng)
+                   for _ in range(50)]
+        for g in triangle_free7 + bipartite8 + randoms:
+            star, stab = star_system(g), stable_system(co_line(g).graph)
+            assert stab.family == star.family, g.edges
+            assert stab.element_names == star.element_names, g.edges
+            assert stab.same_members(star)
+
+    def test_co_line_side_reuses_star_verdicts(self, monkeypatch):
+        decide = count_calls(monkeypatch, equicert, "decide_equi_exact")
+        strong = count_calls(monkeypatch, equicert, "strong_check")
+        rep = crosscheck_table1(generate("graph_h"))
+        assert (decide[0], strong[0]) == (1, 1)
+        assert not rep.violations
+        for row in (ROW_STRONG, ROW_EQUI):
+            assert rep.rows[row].right is rep.rows[row].left
+
+    def test_reordered_stable_family_is_violation(self, monkeypatch):
+        stable = equicert.stable_system
+
+        def reordered(g, budget=None):
+            s = stable(g, budget)
+            return dataclasses.replace(s, family=s.family[::-1])
+        monkeypatch.setattr(equicert, "stable_system", reordered)
+        decide = count_calls(monkeypatch, equicert, "decide_equi_exact")
+        strong = count_calls(monkeypatch, equicert, "strong_check")
+        rep = crosscheck_table1(generate("graph_h"))
+        assert rep.violations == ("star family differs from co-line stable family",)
+        assert (decide[0], strong[0]) == (2, 2)
+        for row in (ROW_STRONG, ROW_EQUI):
+            outcome = rep.rows[row]
+            assert outcome.right is not outcome.left
+            assert outcome.right.value == outcome.left.value
