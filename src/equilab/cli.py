@@ -1,9 +1,9 @@
-"""Command-line front end: property panels, certificates, gallery graphs,
-and the cross-check harness.
+"""Command-line front end: the property panel (`recognizers.panel`),
+certificates, gallery graphs, and the cross-check harness.
 
 Verbs: analyze | certify | gallery | crosscheck.  Graph inputs are edge-list
 files, '-' for standard input, or 'gallery:<descriptor>'.  Exit codes:
-0 success, 2 input error, 3 budget exhaustion.
+0 success, 2 input error, 3 budget exhaustion (analyze: any verdict unknown).
 """
 
 from __future__ import annotations
@@ -27,12 +27,10 @@ from .equicert import (
     UnitSystemInfeasible,
     WeightFunction,
     certificate_to_json,
-    decide_equi_exact,
     forced_value,
     rational_to_json,
     stable_system,
     star_system,
-    strong_check,
 )
 from .graphs import (
     Bipartition,
@@ -54,10 +52,9 @@ from .recognizers import (
     TriangleConditionFailure,
     crosscheck_table1,
     general_partition,
-    is_p5_constrained,
+    panel,
     triangle_condition,
 )
-from .transforms import co_line
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -133,6 +130,8 @@ def _witness_json(g, w, system: SetSystem | None = None):
 
 
 def _verdict_json(g, v: Verdict, system: SetSystem | None = None):
+    if isinstance(v.witness, BudgetExhausted):
+        return {"value": v.value, "note": str(v.witness)}
     return {"value": v.value, "witness": _witness_json(g, v.witness, system)}
 
 
@@ -140,10 +139,12 @@ def _verdict_json(g, v: Verdict, system: SetSystem | None = None):
 # analyze
 
 def cmd_analyze(args) -> int:
-    """Print g's property panel.  With --with-co-line, the co-line verdicts copy
-    the star ones, budget stops included, when `SetSystem.same_members` holds."""
+    """Print the property panel of g and, with --with-co-line, the triangle
+    condition and general partition of co-line(g)."""
     try:
         g = _load_graph(args.input)
+        if g.n == 0:
+            raise GraphError("empty graph")
     except (GraphError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -163,60 +164,20 @@ def cmd_analyze(args) -> int:
         "properties": {},
     }
     props = report["properties"]
-    exhausted = False
-
-    def settle(key, graph, system, decide):
-        """Record decide's verdict on `system` under `key`, or unknown when a
-        budget runs out (also while the system was built: then `system` is
-        the BudgetExhausted it raised)."""
-        nonlocal exhausted
-        try:
-            if isinstance(system, BudgetExhausted):
-                raise system
-            props[key] = _verdict_json(graph, decide(system), system)
-        except BudgetExhausted as exc:
-            props[key] = {"value": "unknown", "note": str(exc)}
-            exhausted = True
-
-    def equi(system):
-        return decide_equi_exact(system, seed=args.seed)
-
-    props["p5_constrained"] = _verdict_json(g, is_p5_constrained(g))
-
-    star = None if any(g.degree(v) == 0 for v in range(g.n)) else star_system(g)
-    if star is None:
-        props["equistarable"] = {"value": "undefined", "note": "isolated vertex"}
-    else:
-        settle("equistarable", g, star, equi)
-        if args.strong:
-            settle("strongly_equistarable", g, star, strong_check)
-
-    if args.with_co_line:
-        if g.m < 1:
-            props["co_line"] = {"value": "undefined", "note": "no edges"}
-        else:
-            col = co_line(g).graph
-            try:
-                stab = stable_system(col, budget)
-            except BudgetExhausted as exc:
-                stab = exc
-            if star is not None and isinstance(stab, SetSystem) and stab.same_members(star):
-                props["equistable"] = props["equistarable"]
-                if args.strong:
-                    props["strongly_equistable"] = props["strongly_equistarable"]
-            else:
-                settle("equistable", col, stab, equi)
-                if args.strong:
-                    settle("strongly_equistable", col, stab, strong_check)
-            tc = triangle_condition(col, budget)
-            props["triangle_condition"] = _verdict_json(col, tc)
-            gp = general_partition(col, budget)
-            props["general_partition"] = _verdict_json(col, gp)
-            if tc.is_unknown or gp.is_unknown:
-                exhausted = True
+    verdicts, star, col, stab = panel(g, budget, args.strong, args.with_co_line, args.seed)
+    for key, v in verdicts.items():
+        graph, system = (col, stab) if key.endswith("equistable") else (g, star)
+        props[key] = _verdict_json(graph, v, system)
+        if key == "p5_constrained" and star is None:
+            props["equistarable"] = {"value": "undefined", "note": "isolated vertex"}
+    if col is not None:
+        props["triangle_condition"] = _verdict_json(col, triangle_condition(col, budget))
+        props["general_partition"] = _verdict_json(col, general_partition(col, budget))
+    elif args.with_co_line:
+        props["co_line"] = {"value": "undefined", "note": "no edges"}
 
     _emit(report, args)
-    return EXIT_BUDGET if exhausted else EXIT_OK
+    return EXIT_BUDGET if any(v["value"] == "unknown" for v in props.values()) else EXIT_OK
 
 
 def _emit(report: dict, args) -> None:

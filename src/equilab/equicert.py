@@ -66,11 +66,16 @@ def check_set_system(s: SetSystem) -> None:
     masks = s.family_masks()
     if len(set(masks)) != len(masks):
         raise AssertionError("family members not distinct")
+    containing: dict[int, list[int]] = {}
+    for j, member in enumerate(s.family):
+        for i in member:
+            containing.setdefault(i, []).append(j)
     for j, mask in enumerate(masks):
         if mask == 0:
             raise AssertionError("empty family member")
-        for k, other in enumerate(masks):
-            if j != k and mask & other == mask:
+        # every member that contains this one contains its first element
+        for k in containing[s.family[j][0]]:
+            if j != k and mask & masks[k] == mask:
                 raise AssertionError("family member not inclusion-maximal in family")
 
 

@@ -1,17 +1,17 @@
 """Decision procedures built on the matching and certificate engines:
 the degree-2 five-path constraint, equistarable recognition for bipartite
 graphs and forests, the triangle condition, general partitions via strong
-cliques, and a side-by-side cross-check harness relating a triangle-free
-graph with its co-line graph."""
+cliques, the property panel behind `analyze`, and a side-by-side cross-check
+harness relating a triangle-free graph with its co-line graph."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from . import equicert  # read per call, so patches on equicert reach panel
 from .common import (
     Budget,
     BudgetExhausted,
-    DEFAULT_STRONG_GROUND_LIMIT,
     GraphError,
     Verdict,
     make_budget,
@@ -32,6 +32,7 @@ from .graphs import (
     is_triangle_free,
 )
 from .matching import Matching, is_k_internally_extendable
+from .transforms import co_line
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +282,53 @@ def check_strong_clique_map(g: Graph, m: StrongCliqueMap,
 
 
 # ---------------------------------------------------------------------------
+# property panel
+
+def panel(g: Graph, budget: Budget | int | None = None, strong: bool = False,
+          with_co_line: bool = False, seed: int = 0):
+    """Decide p5_constrained, equistarable on g's star system (left out when g
+    has an isolated vertex) and, with with_co_line, equistable on the stable
+    system of co-line(g) (left out when g has no edges); with strong, also the
+    strong variants.  An engine stop (BudgetExhausted from the engine, from
+    strong_check's ground limit, or from enumerating the stable system within
+    `budget`) becomes unknown(exc).  For a triangle-free g the maximal stable
+    sets of co-line(g) are the maximal stars of g: when `SetSystem.same_members`
+    holds, the co-line verdicts are the star verdicts themselves.
+
+    Returns (verdicts in report order, star system, co-line graph, stable
+    system); each of the last three is None where it was not built."""
+    verdicts = {"p5_constrained": is_p5_constrained(g)}
+    deciders = [("", lambda s: equicert.decide_equi_exact(s, seed=seed))]
+    if strong:
+        deciders.append(("strongly_", equicert.strong_check))
+
+    def settle(side, system):
+        for prefix, decide in deciders:
+            try:
+                verdicts[prefix + side] = decide(system)
+            except BudgetExhausted as exc:
+                verdicts[prefix + side] = unknown(exc)
+
+    star = None if any(g.degree(v) == 0 for v in range(g.n)) else equicert.star_system(g)
+    if star is not None:
+        settle("equistarable", star)
+    col = stab = None
+    if with_co_line and g.m:
+        col = co_line(g).graph
+        try:
+            stab = equicert.stable_system(col, budget)
+        except BudgetExhausted as exc:
+            verdicts.update((p + "equistable", unknown(exc)) for p, _ in deciders)
+        else:
+            if star is not None and stab.same_members(star):
+                verdicts.update((p + "equistable", verdicts[p + "equistarable"])
+                                for p, _ in deciders)
+            else:
+                settle("equistable", stab)
+    return verdicts, star, col, stab
+
+
+# ---------------------------------------------------------------------------
 # cross-check harness
 
 ROW_PARTITION = "partition"
@@ -298,9 +346,8 @@ class RowOutcome:
 
 @dataclass
 class CrosscheckReport:
-    rows: dict = field(default_factory=dict)
+    rows: dict
     violations: tuple[str, ...] = ()
-    skipped: tuple[str, ...] = ()
 
 
 def crosscheck_table1(g: Graph, budget: Budget | int | None = None) -> CrosscheckReport:
@@ -311,14 +358,11 @@ def crosscheck_table1(g: Graph, budget: Budget | int | None = None) -> Crosschec
     Rows, top to bottom: components all star-or-2-internally-extendable vs
     general partition; strong weighting existence on stars vs stable sets;
     weighting existence on stars vs stable sets; five-path constraint vs
-    triangle condition.  Any recorded violation is a genuine bug.  When the
-    stable system is the star system (`SetSystem.same_members`), the strong
-    and weighting rows copy the left verdict to the right; otherwise that is
-    a violation and the right side is decided on its own.
+    triangle condition.  Any recorded violation is a genuine bug, a co-line
+    side that `panel` did not copy from the star side included.  An engine
+    stop in the two weighting rows is raised, except that the strong row is
+    left out past strong_check's ground limit.
     """
-    from .equicert import decide_equi_exact, stable_system, star_system, strong_check
-    from .transforms import co_line
-
     tri = is_triangle_free(g)
     if not tri[0]:
         raise GraphError(f"graph has a triangle {tri[1]}")
@@ -327,55 +371,34 @@ def crosscheck_table1(g: Graph, budget: Budget | int | None = None) -> Crosschec
     if any(g.degree(v) == 0 for v in range(g.n)):
         raise GraphError("isolated vertex")
     budget = make_budget(budget)
-    col = co_line(g).graph
+    v, _, col, _ = panel(g, budget, strong=True, with_co_line=True)
+    weighting = {ROW_STRONG: RowOutcome(v["strongly_equistarable"], v["strongly_equistable"]),
+                 ROW_EQUI: RowOutcome(v["equistarable"], v["equistable"])}
+    if weighting[ROW_STRONG].left.is_unknown:  # past strong_check's ground limit
+        del weighting[ROW_STRONG]
+    stops = [x.witness for o in weighting.values() for x in (o.left, o.right) if x.is_unknown]
+    if stops:
+        raise stops[0]
 
-    star = star_system(g)
-    stab = stable_system(col, budget)
-
-    report = CrosscheckReport()
     violations: list[str] = []
-    skipped: list[str] = []
-
-    # the maximal stable sets of the co-line graph are exactly the maximal
-    # stars of g (edge sets of pairwise intersecting edges, triangle-free)
-    same = stab.same_members(star)
-    if not same:
+    if v["equistable"] is not v["equistarable"]:
         violations.append("star family differs from co-line stable family")
 
     cls = component_classification(g, budget)
-    left1 = yes(cls) if cls.all_good else no(cls)
-    right1 = general_partition(col, budget)
-    report.rows[ROW_PARTITION] = RowOutcome(left1, right1)
+    rows = {ROW_PARTITION: RowOutcome(yes(cls) if cls.all_good else no(cls),
+                                      general_partition(col, budget))}
+    rows.update(weighting)
+    rows[ROW_P5] = RowOutcome(v["p5_constrained"], triangle_condition(col, budget))
 
-    if star.ground_size <= DEFAULT_STRONG_GROUND_LIMIT:
-        left2 = strong_check(star)
-        right2 = left2 if same else strong_check(stab)
-        report.rows[ROW_STRONG] = RowOutcome(left2, right2)
-    else:
-        skipped.append(ROW_STRONG)
-
-    left3 = decide_equi_exact(star)
-    right3 = left3 if same else decide_equi_exact(stab)
-    report.rows[ROW_EQUI] = RowOutcome(left3, right3)
-
-    left4 = is_p5_constrained(g)
-    right4 = triangle_condition(col, budget)
-    report.rows[ROW_P5] = RowOutcome(left4, right4)
-
-    for row, outcome in report.rows.items():
+    for row, outcome in rows.items():
         lv, rv = outcome.left.value, outcome.right.value
-        if "unknown" in (lv, rv):
-            skipped.append(row)
-            continue
-        if lv != rv:
+        if "unknown" not in (lv, rv) and lv != rv:
             violations.append(f"row {row}: left {lv} vs right {rv}")
 
-    chain = [report.rows[r].left.value for r in ROWS if r in report.rows]
+    chain = [rows[r].left.value for r in ROWS if r in rows]
     for upper, lower in zip(chain, chain[1:]):
         if upper == "yes" and lower == "no":
             violations.append("implication chain broken")
             break
 
-    report.violations = tuple(violations)
-    report.skipped = tuple(skipped)
-    return report
+    return CrosscheckReport(rows, tuple(violations))

@@ -63,6 +63,21 @@ def oracle_unit_subsets(g: Graph, weights):
     return sorted(out)
 
 
+def reference_check_set_system(s):
+    """check_set_system by comparing every member with every other."""
+    if len(s.element_names) != s.ground_size:
+        raise AssertionError("element name count mismatch")
+    masks = s.family_masks()
+    if len(set(masks)) != len(masks):
+        raise AssertionError("family members not distinct")
+    for j, mask in enumerate(masks):
+        if mask == 0:
+            raise AssertionError("empty family member")
+        for k, other in enumerate(masks):
+            if j != k and mask & other == mask:
+                raise AssertionError("family member not inclusion-maximal in family")
+
+
 def oracle_maximal_stars(g: Graph):
     stars = []
     for v in range(g.n):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from equilab import cli
+from equilab import equicert
 from equilab.cli import main
 from equilab.equicert import certificate_from_json, star_system
 from equilab.graphs import generate, parse_edge_list
@@ -61,6 +61,12 @@ class TestAnalyze:
     def test_bad_descriptor_exit_2(self, capsys):
         assert main(["analyze", "gallery:cycle(2)"]) == 2
 
+    @pytest.mark.parametrize("text", ["", "# no vertices\n"])
+    def test_empty_graph_exit_2(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["analyze", "-", "--strong", "--with-co-line"]) == 2
+        assert capsys.readouterr().err == "input error: empty graph\n"
+
     def test_strong_limit_keeps_decided_equistable(self, capsys):
         # the co-line of C17 has 17 elements, above the strong-check limit;
         # that limit must not discard the equistable verdict already decided
@@ -76,8 +82,8 @@ class TestAnalyze:
         # a budget stop while the co-line's stable sets are enumerated leaves
         # both co-line verdicts unknown, as a stop on the star system does;
         # the star verdicts (no) are not copied over
-        decide = count_calls(monkeypatch, cli, "decide_equi_exact")
-        strong = count_calls(monkeypatch, cli, "strong_check")
+        decide = count_calls(monkeypatch, equicert, "decide_equi_exact")
+        strong = count_calls(monkeypatch, equicert, "strong_check")
         code, out = run(capsys, ["analyze", "gallery:cycle(6)", "--strong",
                                  "--with-co-line", "--budget", "1", "--text"])
         assert code == 3
@@ -85,8 +91,8 @@ class TestAnalyze:
         assert (decide[0], strong[0]) == (1, 1)
 
     def test_co_line_verdicts_copy_star_verdicts(self, capsys, monkeypatch):
-        decide = count_calls(monkeypatch, cli, "decide_equi_exact")
-        strong = count_calls(monkeypatch, cli, "strong_check")
+        decide = count_calls(monkeypatch, equicert, "decide_equi_exact")
+        strong = count_calls(monkeypatch, equicert, "strong_check")
         _, out = run(capsys, ["analyze", "gallery:cycle(6)", "--strong",
                               "--with-co-line"])
         props = json.loads(out)["properties"]
@@ -99,8 +105,8 @@ class TestAnalyze:
         ("a b\nb c\nv d\n", 1),        # an isolated vertex: no star system
     ])
     def test_co_line_decided_on_its_own(self, capsys, monkeypatch, text, calls):
-        decide = count_calls(monkeypatch, cli, "decide_equi_exact")
-        strong = count_calls(monkeypatch, cli, "strong_check")
+        decide = count_calls(monkeypatch, equicert, "decide_equi_exact")
+        strong = count_calls(monkeypatch, equicert, "strong_check")
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code, out = run(capsys, ["analyze", "-", "--strong", "--with-co-line"])
         assert code == 0

@@ -43,7 +43,13 @@ from equilab.graphs import find_edge_by_name, generate, make_graph, parse_edge_l
 from equilab.simplex import INFEASIBLE, UNBOUNDED, lp_optimize
 from equilab.transforms import co_line, disjoint_union
 
-from conftest import GALLERY, count_calls, oracle_maximal_stars, oracle_unit_subsets
+from conftest import (
+    GALLERY,
+    count_calls,
+    oracle_maximal_stars,
+    oracle_unit_subsets,
+    reference_check_set_system,
+)
 
 
 def edge_ids(g, names):
@@ -141,6 +147,30 @@ class TestSystems:
     def test_check_rejects_non_maximal(self):
         with pytest.raises(AssertionError):
             check_set_system(SetSystem(2, ("x", "y"), ((0,), (0, 1))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_check_matches_all_pairs_reference(self, data):
+        # a random family, members in any element order, with a duplicate,
+        # an empty or a nested member injected at a random position
+        m = data.draw(st.integers(1, 7))
+        member = st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)
+        family = data.draw(st.lists(member.map(tuple), min_size=1, max_size=8))
+        base = data.draw(st.sampled_from(family))
+        injected = data.draw(st.sampled_from([
+            None, base, (), base[:-1] or None,
+            tuple(data.draw(st.permutations(range(m)))),
+        ]))
+        if injected is not None:
+            family.insert(data.draw(st.integers(0, len(family))), injected)
+        s = SetSystem(m, tuple(map(str, range(m))), tuple(family))
+
+        def outcome(check):
+            try:
+                check(s)
+            except AssertionError as exc:
+                return str(exc)
+        assert outcome(check_set_system) == outcome(reference_check_set_system)
 
 
 class TestUnitSystem:

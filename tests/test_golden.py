@@ -25,6 +25,10 @@ CASES = (
     [["analyze", f"gallery:{d}", "--strong", "--with-co-line"] for d in GALLERY]
     + [["analyze", "gallery:cycle(60)", "--strong", "--with-co-line", "--text"],
        ["crosscheck", "--max-n", "6"]]
+    # a small budget pins the order in which each verb spends it
+    + [["analyze", "gallery:cycle(6)", "--strong", "--with-co-line", "--budget", "30",
+        "--text"],
+       ["crosscheck", "--max-n", "5", "--samples", "5", "--seed", "1", "--budget", "50"]]
 )
 
 

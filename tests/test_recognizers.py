@@ -4,10 +4,10 @@ import random
 import pytest
 
 from equilab import equicert, recognizers
-from equilab.common import GraphError
+from equilab.common import BudgetExhausted, GraphError
 from equilab.corpus import random_connected_triangle_free
 from equilab.equicert import decide_equi_exact, stable_system, star_system
-from equilab.graphs import generate, graph_from_label_pairs, make_graph
+from equilab.graphs import generate, graph_from_label_pairs, make_graph, parse_edge_list
 from equilab.matching import Matching
 from equilab.recognizers import (
     NEITHER,
@@ -22,6 +22,7 @@ from equilab.recognizers import (
     crosscheck_table1,
     general_partition,
     is_p5_constrained,
+    panel,
     recognize_equistarable_bipartite,
     recognize_equistarable_forest,
     triangle_condition,
@@ -200,6 +201,57 @@ class TestGeneralPartition:
             assert want == got, g.edges
 
 
+class TestPanel:
+    def count_engine_calls(self, monkeypatch):
+        return (count_calls(monkeypatch, equicert, "decide_equi_exact"),
+                count_calls(monkeypatch, equicert, "strong_check"))
+
+    def test_triangle_free_runs_the_engine_once(self, monkeypatch):
+        decide, strong = self.count_engine_calls(monkeypatch)
+        verdicts, star, col, stab = panel(generate("cycle(6)"), strong=True,
+                                          with_co_line=True)
+        assert (decide[0], strong[0]) == (1, 1)
+        assert list(verdicts) == ["p5_constrained", "equistarable", "strongly_equistarable",
+                                  "equistable", "strongly_equistable"]
+        assert verdicts["equistable"] is verdicts["equistarable"]
+        assert verdicts["strongly_equistable"] is verdicts["strongly_equistarable"]
+        assert stab.same_members(star) and col.n == 6
+
+    def test_triangle_decides_the_co_line_on_its_own(self, monkeypatch):
+        decide, strong = self.count_engine_calls(monkeypatch)
+        verdicts, _, _, _ = panel(parse_edge_list("a b\nb c\nc a\nc d\n"),
+                                  strong=True, with_co_line=True)
+        assert (decide[0], strong[0]) == (2, 2)
+        assert verdicts["equistable"] is not verdicts["equistarable"]
+        assert verdicts["strongly_equistable"] is not verdicts["strongly_equistarable"]
+
+    def test_isolated_vertex_has_no_star_side(self, monkeypatch):
+        decide, strong = self.count_engine_calls(monkeypatch)
+        verdicts, star, _, _ = panel(parse_edge_list("a b\nb c\nv d\n"),
+                                     strong=True, with_co_line=True)
+        assert star is None
+        assert (decide[0], strong[0]) == (1, 1)
+        assert list(verdicts) == ["p5_constrained", "equistable", "strongly_equistable"]
+
+    def test_budget_stop_in_stable_system_is_not_copied(self, monkeypatch):
+        decide, strong = self.count_engine_calls(monkeypatch)
+        verdicts, _, col, stab = panel(generate("cycle(6)"), budget=1, strong=True,
+                                       with_co_line=True)
+        assert (decide[0], strong[0]) == (1, 1)
+        assert stab is None and col is not None
+        assert verdicts["equistarable"].is_no and verdicts["strongly_equistarable"].is_no
+        for key in ("equistable", "strongly_equistable"):
+            assert verdicts[key].is_unknown
+            assert isinstance(verdicts[key].witness, BudgetExhausted)
+
+    def test_strong_limit_leaves_equistable_decided(self):
+        # 17 edges: past strong_check's ground limit, within the engine's
+        verdicts, _, _, _ = panel(generate("cycle(17)"), strong=True, with_co_line=True)
+        assert verdicts["equistable"].is_no
+        assert verdicts["strongly_equistable"].is_unknown
+        assert "strong-check limit" in str(verdicts["strongly_equistable"].witness)
+
+
 class TestCrosscheck:
     def test_p5_all_no(self):
         rep = crosscheck_table1(generate("path(5)"))
@@ -221,6 +273,11 @@ class TestCrosscheck:
     def test_triangle_rejected(self):
         with pytest.raises(GraphError):
             crosscheck_table1(generate("complete(3)"))
+
+    def test_strong_row_left_out_past_strong_limit(self):
+        rep = crosscheck_table1(generate("cycle(17)"))
+        assert not rep.violations
+        assert set(rep.rows) == {"partition", "equi", "p5"}
 
     def test_corpus_clean(self, triangle_free_corpus):
         for g in triangle_free_corpus:
