@@ -40,7 +40,6 @@ from .graphs import (
     format_edge_list,
     generate,
     is_triangle_free,
-    parse_descriptor,
     parse_edge_list,
 )
 from .matching import Matching
@@ -63,7 +62,7 @@ EXIT_BUDGET = 3
 
 def _load_graph(source: str):
     if source.startswith("gallery:"):
-        return generate(parse_descriptor(source[len("gallery:"):]))
+        return generate(source[len("gallery:"):])
     if source == "-":
         return parse_edge_list(sys.stdin.read())
     with open(source, encoding="utf-8") as fh:
@@ -169,7 +168,9 @@ def cmd_analyze(args) -> int:
         graph, system = (col, stab) if key.endswith("equistable") else (g, star)
         props[key] = _verdict_json(graph, v, system)
         if key == "p5_constrained" and star is None:
-            props["equistarable"] = {"value": "undefined", "note": "isolated vertex"}
+            for prefix in ("", "strongly_") if args.strong else ("",):
+                props[prefix + "equistarable"] = {"value": "undefined",
+                                                  "note": "isolated vertex"}
     if col is not None:
         props["triangle_condition"] = _verdict_json(col, triangle_condition(col, budget))
         props["general_partition"] = _verdict_json(col, general_partition(col, budget))
@@ -244,7 +245,7 @@ def cmd_certify(args) -> int:
 
 def cmd_gallery(args) -> int:
     try:
-        g = generate(parse_descriptor(args.descriptor))
+        g = generate(args.descriptor)
     except GraphError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -271,13 +272,13 @@ def cmd_crosscheck(args) -> int:
     budget = make_budget(args.budget)
     row_counts: dict[str, dict[str, int]] = {}
     violations = []
-    exhausted = False
+    checked = 0
     for idx, g in enumerate(graphs):
         try:
             rep = crosscheck_table1(g, budget)
         except BudgetExhausted:
-            exhausted = True
             continue
+        checked += 1
         for row, outcome in rep.rows.items():
             key = f"{outcome.left.value}/{outcome.right.value}"
             row_counts.setdefault(row, {}).setdefault(key, 0)
@@ -291,12 +292,12 @@ def cmd_crosscheck(args) -> int:
         "seed": args.seed,
         "max_n": args.max_n,
         "samples": args.samples,
-        "graphs_checked": len(graphs),
+        "graphs_checked": checked,
         "rows": {k: dict(sorted(v.items())) for k, v in sorted(row_counts.items())},
         "violations": violations,
     }
     _emit(report, args)
-    return EXIT_BUDGET if exhausted else EXIT_OK
+    return EXIT_BUDGET if checked < len(graphs) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -369,17 +369,14 @@ def verify_weighting(s: SetSystem, phi: WeightFunction) -> Verdict:
                               DEFAULT_EXHAUSTIVE_GROUND_LIMIT)
     if len(phi.weights) != m:
         raise GraphError("weight vector length mismatch")
-    den = _common_denominator(phi.weights)
-    w = [int(q * den) for q in phi.weights]
     for f in s.family:
-        total = sum(w[i] for i in f)
-        if total != den:
-            return no(OffendingSubset(elements=f, value=Fraction(total, den),
-                                      in_family=True))
-    found = _smallest_subset(w, den, set(s.family_masks()))
+        total = sum((phi.weights[i] for i in f), Fraction(0))
+        if total != 1:
+            return no(OffendingSubset(elements=f, value=total, in_family=True))
+    # with no kernel, the subsets forced to total 1 are those that total 1
+    found = _scan_forced_subsets(s.family_masks(), (), phi.weights)
     if found is not None:
-        return no(OffendingSubset(elements=_elements(found), value=Fraction(1),
-                                  in_family=False))
+        return no(OffendingSubset(elements=found[0], value=found[1], in_family=False))
     return yes(phi)
 
 
@@ -424,15 +421,16 @@ def _strictly_positive_point(s: SetSystem):
     Returns (optimum t, solution phi) with phi_i >= t for all i.
     """
     m = s.ground_size
-    # substitute phi_i = psi_i + t with psi >= 0 and t free (variable index m)
-    eqs = [(row + [Fraction(len(f))], rhs)
+    # substitute phi_i = psi_i + t with psi >= 0 and t = t+ - t- (variables
+    # m and m + 1, both >= 0)
+    eqs = [(row + [Fraction(len(f)), Fraction(-len(f))], rhs)
            for (row, rhs), f in zip(_unit_equations(s), s.family)]
-    obj = [Fraction(0)] * m + [Fraction(1)]
-    res = lp_optimize(m + 1, eqs, obj, direction="max", free={m})
+    obj = [Fraction(0)] * m + [Fraction(1), Fraction(-1)]
+    res = lp_optimize(m + 2, eqs, obj, direction="max")
     if res.status == UNBOUNDED:  # empty family: anything goes
         return Fraction(1), (Fraction(1),) * m
     assert res.status == OPTIMAL  # t <= 1/|F| for any member F, never unbounded
-    t = res.solution[m]
+    t = res.solution[m] - res.solution[m + 1]
     phi = tuple(res.solution[i] + t for i in range(m))
     return res.value, phi
 

@@ -8,6 +8,7 @@ lifetime of a Graph value.  Graphs are immutable.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -180,14 +181,6 @@ def format_edge_list(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # components / bipartition
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
-    component_id: tuple[int, ...]
-    component_count: int
-    vertices: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, ...], ...]
-
-
 def _component_labels(g: Graph) -> tuple[list[int], int]:
     """Component id of every vertex, ids ordered by smallest member vertex,
     and the number of components."""
@@ -212,21 +205,13 @@ def component_count(g: Graph) -> int:
     return _component_labels(g)[1]
 
 
-def components(g: Graph) -> ComponentDecomposition:
-    """Component labeling; ids ordered by smallest member vertex."""
+def components(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Vertex tuples of the components, ordered by smallest member vertex."""
     comp, cid = _component_labels(g)
     verts: list[list[int]] = [[] for _ in range(cid)]
     for v in range(g.n):
         verts[comp[v]].append(v)
-    eids: list[list[int]] = [[] for _ in range(cid)]
-    for i, (u, v) in enumerate(g.edges):
-        eids[comp[u]].append(i)
-    return ComponentDecomposition(
-        component_id=tuple(comp),
-        component_count=cid,
-        vertices=tuple(tuple(vs) for vs in verts),
-        edges=tuple(tuple(es) for es in eids),
-    )
+    return tuple(map(tuple, verts))
 
 
 @dataclass(frozen=True)
@@ -410,57 +395,6 @@ def induced_subgraph(g: Graph, keep) -> tuple[Graph, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # gallery generators
 
-@dataclass(frozen=True)
-class GalleryDescriptor:
-    name: str
-    args: tuple[int, ...] = ()
-    offsets: tuple[int, ...] = ()
-    parts: tuple["GalleryDescriptor", ...] = ()
-
-    def __str__(self) -> str:
-        if self.name == "disjoint_union":
-            return "+".join(str(p) for p in self.parts)
-        if self.name == "circulant":
-            return f"circulant({self.args[0]},{{{','.join(map(str, self.offsets))}}})"
-        if self.args:
-            return f"{self.name}({','.join(map(str, self.args))})"
-        return self.name
-
-
-_DESC = re.compile(r"^([a-z_]+)(?:\((.*)\))?$")
-
-
-def parse_descriptor(text: str) -> GalleryDescriptor:
-    text = text.strip()
-    if "+" in text:
-        parts = tuple(parse_descriptor(p) for p in text.split("+"))
-        return GalleryDescriptor("disjoint_union", parts=parts)
-    m = _DESC.match(text)
-    if not m:
-        raise GraphError(f"bad gallery descriptor {text!r}")
-    name, argtext = m.group(1), m.group(2)
-    if name == "circulant":
-        cm = re.match(r"^\s*(\d+)\s*,\s*\{([\d\s,]*)\}\s*$", argtext or "")
-        if not cm:
-            raise GraphError(f"bad circulant descriptor {text!r}")
-        n = int(cm.group(1))
-        offsets = tuple(int(t) for t in cm.group(2).split(",") if t.strip())
-        return GalleryDescriptor("circulant", args=(n,), offsets=offsets)
-    args: tuple[int, ...] = ()
-    if argtext:
-        try:
-            args = tuple(int(t) for t in argtext.split(","))
-        except ValueError as exc:
-            raise GraphError(f"bad arguments in {text!r}") from exc
-    return GalleryDescriptor(name, args=args)
-
-
-def _need_args(desc: GalleryDescriptor, k: int) -> tuple[int, ...]:
-    if len(desc.args) != k:
-        raise GraphError(f"{desc.name} expects {k} integer argument(s)")
-    return desc.args
-
-
 def _path(n: int) -> Graph:
     if n < 1:
         raise GraphError("path needs n >= 1")
@@ -550,38 +484,48 @@ def _graph_h() -> Graph:
     return graph_from_label_pairs(pairs)
 
 
-def generate(descriptor: GalleryDescriptor | str) -> Graph:
-    """Materialize a gallery descriptor into its canonical labeled graph."""
-    if isinstance(descriptor, str):
-        descriptor = parse_descriptor(descriptor)
-    d = descriptor
-    if d.name == "path":
-        return _path(*_need_args(d, 1))
-    if d.name == "cycle":
-        return _cycle(*_need_args(d, 1))
-    if d.name == "star":
-        return _star(*_need_args(d, 1))
-    if d.name == "complete":
-        return _complete(*_need_args(d, 1))
-    if d.name == "complete_bipartite":
-        return _complete_bipartite(*_need_args(d, 2))
-    if d.name == "kmn_plus":
-        return _kmn_plus(*_need_args(d, 2))
-    if d.name == "petersen":
-        _need_args(d, 0)
-        return _petersen()
-    if d.name == "circulant":
-        return _circulant(d.args[0], d.offsets)
-    if d.name == "graph_h":
-        _need_args(d, 0)
-        return _graph_h()
-    if d.name == "disjoint_union":
+_FAMILIES = {
+    "path": (1, _path),
+    "cycle": (1, _cycle),
+    "star": (1, _star),
+    "complete": (1, _complete),
+    "complete_bipartite": (2, _complete_bipartite),
+    "kmn_plus": (2, _kmn_plus),
+    "petersen": (0, _petersen),
+    "graph_h": (0, _graph_h),
+}
+
+_DESC = re.compile(r"^([a-z_]+)(?:\((.*)\))?$")
+
+
+def generate(text: str) -> Graph:
+    """Build the canonical labeled graph of a gallery descriptor: a family
+    name with integer arguments, 'circulant(n,{s1,s2,...})', or descriptors
+    joined by '+' for their disjoint union."""
+    text = text.strip()
+    if "+" in text:
         from .transforms import disjoint_union
 
-        if len(d.parts) < 2:
-            raise GraphError("disjoint_union needs at least two parts")
-        g = generate(d.parts[0])
-        for part in d.parts[1:]:
-            g = disjoint_union(g, generate(part))
-        return g
-    raise GraphError(f"unknown gallery family {d.name!r}")
+        return functools.reduce(disjoint_union, map(generate, text.split("+")))
+    m = _DESC.match(text)
+    if not m:
+        raise GraphError(f"bad gallery descriptor {text!r}")
+    name, argtext = m.group(1), m.group(2)
+    if name == "circulant":
+        cm = re.match(r"^\s*(\d+)\s*,\s*\{([\d\s,]*)\}\s*$", argtext or "")
+        if not cm:
+            raise GraphError(f"bad circulant descriptor {text!r}")
+        offsets = tuple(int(t) for t in cm.group(2).split(",") if t.strip())
+        return _circulant(int(cm.group(1)), offsets)
+    args: tuple[int, ...] = ()
+    if argtext:
+        try:
+            args = tuple(int(t) for t in argtext.split(","))
+        except ValueError as exc:
+            raise GraphError(f"bad arguments in {text!r}") from exc
+    if name not in _FAMILIES:
+        raise GraphError(f"unknown gallery family {name!r}")
+    arity, build = _FAMILIES[name]
+    if len(args) != arity:
+        raise GraphError(f"{name} expects {arity} integer argument(s)")
+    return build(*args)

@@ -116,7 +116,7 @@ def component_classification(g: Graph, budget: Budget | int | None = None) -> Co
         raise GraphError("isolated vertex")
     budget = make_budget(budget)
     tags = []
-    comps = components(g).vertices
+    comps = components(g)
     for comp in comps:
         if len(comps) == 1:  # a connected graph is its own component: no copy
             sub, old_ids = g, tuple(range(g.n))

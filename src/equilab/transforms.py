@@ -1,5 +1,5 @@
-"""Graph operators: line graph, complement, co-line graph, disjoint union,
-and desk-scale isomorphism testing."""
+"""Graph operators: co-line graph, disjoint union, and desk-scale
+isomorphism testing."""
 
 from __future__ import annotations
 
@@ -17,40 +17,20 @@ class LabeledLineGraph:
     edge_of_vertex: tuple[tuple[str, str], ...]
 
 
-def line_graph(g: Graph) -> LabeledLineGraph:
-    """Vertices are the edges of g; adjacency = sharing an endpoint."""
-    labels = tuple(g.edge_name(i) for i in range(g.m))
-    pairs = [
-        (i, j)
-        for i in range(g.m)
-        for j in range(i + 1, g.m)
-        if set(g.edges[i]) & set(g.edges[j])
-    ]
-    lg = make_graph(labels, pairs)
-    return LabeledLineGraph(graph=lg, edge_of_vertex=tuple(g.edge_labels(i) for i in range(g.m)))
-
-
-def complement(g: Graph) -> Graph:
-    present = set(g.edges)
-    pairs = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if (u, v) not in present
-    ]
-    return make_graph(g.labels, pairs)
-
-
 def co_line(g: Graph) -> LabeledLineGraph:
     """Complement of the line graph, keeping the edge-of-vertex map.
 
-    Vertex i of the result is edge i of g; two vertices are adjacent iff the
-    corresponding edges are disjoint.
+    Vertex i of the result is edge i of g, labeled by its edge name; two
+    vertices are adjacent iff the corresponding edges share no endpoint.
     """
     if g.m < 1:
         raise GraphError("co_line needs at least one edge")
-    lg = line_graph(g)
-    return LabeledLineGraph(graph=complement(lg.graph), edge_of_vertex=lg.edge_of_vertex)
+    edges = g.edges
+    pairs = [(i, j) for i, (a, b) in enumerate(edges) for j in range(i + 1, g.m)
+             if a not in edges[j] and b not in edges[j]]
+    labels = tuple(g.edge_name(i) for i in range(g.m))
+    return LabeledLineGraph(graph=make_graph(labels, pairs),
+                            edge_of_vertex=tuple(g.edge_labels(i) for i in range(g.m)))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

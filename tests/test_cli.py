@@ -113,6 +113,15 @@ class TestAnalyze:
         assert (decide[0], strong[0]) == (calls, calls)
         assert json.loads(out)["properties"]["equistable"]["value"] in ("yes", "no")
 
+    def test_isolated_vertex_leaves_star_properties_undefined(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("a b\nb c\nv x\n"))
+        code, out = run(capsys, ["analyze", "-", "--strong", "--with-co-line"])
+        assert code == 0
+        props = json.loads(out)["properties"]
+        undefined = {"value": "undefined", "note": "isolated vertex"}
+        assert props["equistarable"] == props["strongly_equistarable"] == undefined
+        assert props["strongly_equistable"]["value"] == "yes"
+
     def test_determinism(self, capsys):
         _, first = run(capsys, ["analyze", "gallery:graph_h", "--strong", "--seed", "3"])
         _, second = run(capsys, ["analyze", "gallery:graph_h", "--strong", "--seed", "3"])
@@ -187,6 +196,11 @@ class TestGallery:
     def test_bad_descriptor(self, capsys):
         assert main(["gallery", "cycle(1)"]) == 2
 
+    @pytest.mark.parametrize("bad", ["a+", "disjoint_union"])
+    def test_bad_union_exit_2(self, capsys, bad):
+        assert main(["gallery", bad]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
 
 class TestCrosscheck:
     def test_trivial_max_n_2(self, capsys):
@@ -209,6 +223,14 @@ class TestCrosscheck:
                                "--seed", "11"])
         assert out1 == out2
         assert json.loads(out1)["violations"] == []
+
+    def test_budget_stop_counts_no_dropped_graph(self, capsys):
+        code, out = run(capsys, ["crosscheck", "--max-n", "5", "--samples", "5",
+                                 "--seed", "1", "--budget", "1"])
+        assert code == 3
+        rep = json.loads(out)
+        assert rep["graphs_checked"] == 0
+        assert rep["rows"] == {}
 
     def test_exhaustive_cap(self, capsys):
         assert main(["crosscheck", "--max-n", "9"]) == 2

@@ -17,6 +17,7 @@ from equilab.equicert import (
     NotForced,
     OffendingSubset,
     SetSystem,
+    StrictPositivityFailure,
     StrongWitness,
     UnitSystemInfeasible,
     WeightFunction,
@@ -307,6 +308,15 @@ class TestDecide:
         assert len(verts) == 6
         induced = [e for e in g.edges if set(e) <= verts]
         assert len(induced) == 3  # matching is induced
+
+    @pytest.mark.parametrize("text,max_min", [
+        ("1 3\n1 4\n1 5\n2 3\n2 4\n", Fraction(0)),
+        ("1 3\n1 4\n1 5\n1 6\n2 3\n2 4\n2 5\n", Fraction(-1)),
+    ])
+    def test_no_strictly_positive_solution(self, text, max_min):
+        # feasible unit equations whose solutions all have a weight <= 0
+        v = decide_equi_exact(star_system(parse_edge_list(text)))
+        assert v == no(StrictPositivityFailure(max_min_weight=max_min))
 
     def test_seed_determinism(self):
         a = decide_equi_exact(star_system(generate("cycle(4)")), seed=5)

@@ -92,9 +92,9 @@ class TestSimplex:
 
     def test_symmetric_split(self):
         # max t s.t. a + b = 1, a >= t, b >= t  ->  1/2
-        # encode a = t + p, b = t + q with p, q >= 0 and t free
+        # encode a = t + p, b = t + q with p, q >= 0 and t = t+ - t-
         res = lp_optimize(
-            3, [([1, 1, 2], 1)], [0, 0, 1], direction="max", free={2}
+            4, [([1, 1, 2, -2], 1)], [0, 0, 1, -1], direction="max"
         )
         assert res.status == OPTIMAL and res.value == Fraction(1, 2)
 
@@ -103,7 +103,8 @@ class TestSimplex:
         assert res.status == INFEASIBLE
 
     def test_free_variable_goes_negative(self):
-        res = lp_optimize(1, [], [1], direction="min", free={0})
+        # min t with t = t+ - t- unconstrained
+        res = lp_optimize(2, [], [1, -1], direction="min")
         assert res.status == UNBOUNDED
 
     def test_degenerate_redundant_rows(self):

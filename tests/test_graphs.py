@@ -25,7 +25,6 @@ from equilab.graphs import (
     induced_subgraph,
     is_triangle_free,
     make_graph,
-    parse_descriptor,
     parse_edge_list,
 )
 
@@ -158,9 +157,8 @@ class TestParsing:
 class TestComponentsBipartition:
     def test_components_of_union(self):
         g = parse_edge_list("a b\nc d\nv e\n")
-        dec = components(g)
-        assert dec.component_count == component_count(g) == 3
-        assert dec.vertices == ((0, 1), (2, 3), (4,))
+        assert components(g) == ((0, 1), (2, 3), (4,))
+        assert component_count(g) == 3
 
     def test_bipartition_of_even_cycle(self):
         b = bipartition(generate("cycle(6)"))
@@ -267,25 +265,34 @@ class TestGallery:
         g = generate(text)
         assert (g.n, g.m) == (n, m)
 
-    def test_descriptor_round_trip(self):
-        for text in ("cycle(6)", "circulant(11,{1,3})", "petersen",
-                     "star(3)+cycle(4)"):
-            d = parse_descriptor(text)
-            assert parse_descriptor(str(d)) == d
-
     def test_disjoint_union_descriptor(self):
         g = generate("star(3)+cycle(4)")
-        assert components(g).component_count == 2
+        assert component_count(g) == 2
         assert g.n == 8 and g.m == 7
 
-    @pytest.mark.parametrize("bad", [
-        "cycle(2)", "circulant(6,{0})", "circulant(6,{4})",
-        "circulant(6,{1,1})", "nonsense(3)", "petersen(2)",
-        "complete_bipartite(4)",
-    ])
-    def test_bad_descriptors(self, bad):
-        with pytest.raises(GraphError):
+    @pytest.mark.parametrize("bad,message", [pytest.param(*case, id=case[0]) for case in [
+        ("cycle(2)", "cycle needs n >= 3"),
+        ("circulant(6,{0})", "circulant offset 0 outside 1..n/2"),
+        ("circulant(6,{4})", "circulant offset 4 outside 1..n/2"),
+        ("circulant(6,{1,1})", "duplicate circulant offsets"),
+        ("circulant(7,{})", "circulant needs a nonempty connection set"),
+        ("circulant(6)", "bad circulant descriptor 'circulant(6)'"),
+        ("nonsense(3)", "unknown gallery family 'nonsense'"),
+        ("nonsense(x)", "bad arguments in 'nonsense(x)'"),
+        ("petersen(2)", "petersen expects 0 integer argument(s)"),
+        ("complete_bipartite(4)", "complete_bipartite expects 2 integer argument(s)"),
+        ("cycle", "cycle expects 1 integer argument(s)"),
+        ("cycle(3,)", "bad arguments in 'cycle(3,)'"),
+        ("Cycle(3)", "bad gallery descriptor 'Cycle(3)'"),
+        ("star(3)+cycle(2)", "cycle needs n >= 3"),
+        # an empty '+' part and the bare union name fail, with another message
+        ("a+", None),
+        ("disjoint_union", None),
+    ]])
+    def test_bad_descriptors(self, bad, message):
+        with pytest.raises(GraphError) as info:
             generate(bad)
+        assert message is None or str(info.value) == message
 
     def test_graph_h_shape(self):
         h = generate("graph_h")

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from equilab.common import Budget, GraphError
 from equilab.graphs import adjacency_masks, generate, make_graph
@@ -9,10 +9,8 @@ from equilab.transforms import (
     _neighbor_degree_key,
     check_isomorphism,
     co_line,
-    complement,
     disjoint_union,
     is_isomorphic,
-    line_graph,
 )
 
 from conftest import tensor_product
@@ -70,43 +68,23 @@ def random_cubic(n, rng):
             return make_graph(tuple(str(i) for i in range(n)), sorted(pairs))
 
 
-class TestLineGraph:
-    def test_path_line_graph_is_shorter_path(self):
-        lg = line_graph(generate("path(5)"))
-        assert lg.graph.n == 4 and lg.graph.m == 3
-        assert is_isomorphic(lg.graph, generate("path(4)")) is not None
-
-    def test_star_line_graph_is_complete(self):
-        lg = line_graph(generate("star(4)"))
-        assert is_isomorphic(lg.graph, generate("complete(4)")) is not None
-
-    def test_edge_of_vertex_map(self):
-        g = generate("path(3)")
-        lg = line_graph(g)
-        assert lg.edge_of_vertex == tuple(g.edge_labels(i) for i in range(g.m))
-
-
-class TestComplement:
-    @given(small_graphs())
-    @settings(max_examples=50, deadline=None)
-    def test_involution(self, g):
-        assert complement(complement(g)) == g
-
-    def test_edge_counts_sum(self):
-        g = generate("petersen")
-        assert g.m + complement(g).m == g.n * (g.n - 1) // 2
-
-
 class TestCoLine:
     def test_needs_an_edge(self):
         with pytest.raises(GraphError):
             co_line(make_graph(("a", "b"), []))
 
-    def test_vertices_adjacent_iff_edges_disjoint(self):
-        g = generate("cycle(5)")
-        cl = co_line(g).graph
-        for i, j in cl.edges:
-            assert not set(g.edges[i]) & set(g.edges[j])
+    @given(small_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_vertices_adjacent_iff_edges_disjoint(self, g):
+        assume(g.m >= 1)
+        lg = co_line(g)
+        assert lg.graph.labels == tuple(g.edge_name(i) for i in range(g.m))
+        assert lg.edge_of_vertex == tuple(g.edge_labels(i) for i in range(g.m))
+        masks = adjacency_masks(lg.graph)
+        for i in range(g.m):
+            for j in range(g.m):
+                disjoint = not set(g.edges[i]) & set(g.edges[j])
+                assert bool(masks[i] >> j & 1) == disjoint
 
     def test_co_line_of_k23_plus(self):
         # 9 edges, so 9 vertices; known from the construction
