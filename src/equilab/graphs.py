@@ -60,7 +60,7 @@ def make_graph(labels, pairs) -> Graph:
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    adjacency = tuple(tuple(sorted(a)) for a in adj)
+    adjacency = tuple(map(tuple, adj))  # ascending: appended in sorted edge order
     return Graph(labels=labels, edges=edges, adjacency=adjacency)
 
 
@@ -495,7 +495,18 @@ _FAMILIES = {
     "graph_h": (0, _graph_h),
 }
 
-_DESC = re.compile(r"^([a-z_]+)(?:\((.*)\))?$")
+_DESC = re.compile(r"([a-z_]+)(?:\((.*)\))?")
+_CIRCULANT = re.compile(r"\s*([0-9]+)\s*,\s*\{([0-9\s,]*)\}\s*", re.ASCII)
+_INT = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)
+_UNION_PLUS = re.compile(r"\+(?![^()]*\))")  # a '+' outside parentheses
+
+
+def _ints(tokens, error: str) -> tuple[int, ...]:
+    """ASCII decimal integers, or GraphError(error): int() alone would also
+    take '1_0', '+3' and non-ASCII digits."""
+    if not all(_INT.fullmatch(t) for t in tokens):
+        raise GraphError(error)
+    return tuple(map(int, tokens))
 
 
 def generate(text: str) -> Graph:
@@ -503,26 +514,23 @@ def generate(text: str) -> Graph:
     name with integer arguments, 'circulant(n,{s1,s2,...})', or descriptors
     joined by '+' for their disjoint union."""
     text = text.strip()
-    if "+" in text:
+    parts = _UNION_PLUS.split(text)
+    if len(parts) > 1:
         from .transforms import disjoint_union
 
-        return functools.reduce(disjoint_union, map(generate, text.split("+")))
-    m = _DESC.match(text)
+        return functools.reduce(disjoint_union, map(generate, parts))
+    m = _DESC.fullmatch(text)
     if not m:
         raise GraphError(f"bad gallery descriptor {text!r}")
     name, argtext = m.group(1), m.group(2)
     if name == "circulant":
-        cm = re.match(r"^\s*(\d+)\s*,\s*\{([\d\s,]*)\}\s*$", argtext or "")
+        cm = _CIRCULANT.fullmatch(argtext or "")
         if not cm:
             raise GraphError(f"bad circulant descriptor {text!r}")
-        offsets = tuple(int(t) for t in cm.group(2).split(",") if t.strip())
+        offsets = _ints([t for t in cm.group(2).split(",") if t.strip()],
+                        f"bad circulant descriptor {text!r}")
         return _circulant(int(cm.group(1)), offsets)
-    args: tuple[int, ...] = ()
-    if argtext:
-        try:
-            args = tuple(int(t) for t in argtext.split(","))
-        except ValueError as exc:
-            raise GraphError(f"bad arguments in {text!r}") from exc
+    args = _ints(argtext.split(","), f"bad arguments in {text!r}") if argtext else ()
     if name not in _FAMILIES:
         raise GraphError(f"unknown gallery family {name!r}")
     arity, build = _FAMILIES[name]

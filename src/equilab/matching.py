@@ -1,29 +1,27 @@
 """Matching machinery: perfect internal matchings (every uncovered vertex a
-leaf) extending a given matching, with Hall-violator or exhaustive-search
-witnesses, and k-/k-internal-extendability for k in {1, 2}.
+leaf) extending a given matching, with Tutte-Berge barrier witnesses, and
+k-/k-internal-extendability for k in {1, 2}.
 
 Every question is asked of the host graph itself; no remainder graph is
-built.  On a bipartite graph, a mate array is filled by leaf-ended
-alternating paths that avoid the fixed matching's endpoints (`_fill`, one
-`_augment` per exposed non-leaf); a failed search is itself the "no" witness,
-a set of non-leaves on one side with too few neighbours.  k-internal
-extendability fills one base matching and, for each k-matching, re-covers
-the at most 2k vertices the k-matching exposes in a copy of it.  Other
-graphs use an exhaustive search for the covering matching."""
+built.  A mate array is filled by alternating paths that avoid the fixed
+matching's endpoints (`_fill`, one `_augment` per exposed vertex that must be
+covered), shrinking odd cycles as Edmonds' blossom search does (Edmonds,
+Canad. J. Math. 1965); a path may end at a matched leaf, which the flip
+leaves uncovered.  A failed search is itself the "no" witness: a set X and
+more than |X| odd components of the remainder minus X, none holding a vertex
+that may stay uncovered (Lovasz & Plummer, Matching Theory, 1986).  On a
+bipartite graph the components are single vertices on one side, so X with
+their union is a Hall violator.  k-(internal) extendability fills one base
+matching and, for each k-matching, re-covers the at most 2k vertices the
+k-matching exposes in a copy of it."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .common import Budget, GraphError, make_budget
-from .graphs import (
-    Bipartition,
-    Graph,
-    bipartition as compute_bipartition,
-    component_count,
-    find_edge,
-)
+from .common import GraphError
+from .graphs import Bipartition, Graph, component_count, find_edge
 
 
 @dataclass(frozen=True)
@@ -51,12 +49,14 @@ class InternalMatching:
 
 
 @dataclass(frozen=True)
-class CoverFailure:
-    """Exhaustive-search evidence: no matching covers `required` in the
-    (non-bipartite) remainder graph."""
+class Barrier:
+    """No matching of g - V(m) covers every vertex that must be covered:
+    `components` are more than |`inner`| disjoint odd components of
+    g - V(m) - `inner` made only of such vertices, and each needs its own
+    partner in `inner`."""
 
-    required: frozenset[int]
-    note: str = ""
+    inner: frozenset[int]
+    components: tuple[frozenset[int], ...]
 
 
 def covered_vertices(g: Graph, m: Matching) -> frozenset[int]:
@@ -99,29 +99,91 @@ def check_hall_violator(g: Graph, hv: HallViolator, within: frozenset[int] | Non
         raise AssertionError("not a Hall violator")
 
 
-# ---------------------------------------------------------------------------
-# leaf-ended alternating paths (bipartite)
+def check_barrier(g: Graph, w: Barrier, fixed: frozenset[int], may_skip: bool) -> None:
+    """Verify that `w` refutes a matching of g - `fixed` covering every
+    non-leaf (every vertex unless `may_skip`): it lists more components than
+    |X|, each odd, connected, disjoint from the others, from X and from
+    `fixed`, with all its neighbours outside it in X or `fixed`, and holding
+    no leaf when leaves may stay uncovered."""
+    if len(w.components) <= len(w.inner):
+        raise AssertionError("no more components than barrier vertices")
+    taken = set(fixed) | w.inner
+    for comp in w.components:
+        if len(comp) % 2 == 0 or comp & taken:
+            raise AssertionError("component is even or overlaps")
+        taken |= comp
+        if may_skip and any(g.degree(v) == 1 for v in comp):
+            raise AssertionError("component holds a leaf")
+        reach, stack = set(), [min(comp)]
+        while stack:
+            v = stack.pop()
+            if v not in reach:
+                reach.add(v)
+                for x in g.adjacency[v]:
+                    if x in comp:
+                        stack.append(x)
+                    elif x not in w.inner and x not in fixed:
+                        raise AssertionError("component is not closed")
+        if reach != comp:
+            raise AssertionError("component is not connected")
 
-def _augment(g: Graph, mate: list[int], start: int, avoid: frozenset[int]):
+
+# ---------------------------------------------------------------------------
+# alternating paths with blossoms
+
+def _augment(g: Graph, mate: list[int], start: int, avoid: frozenset[int], may_skip: bool):
     """One BFS-layered alternating-path search from the exposed vertex
-    `start`, in smallest-id order, that never enters `avoid`.  A path ending
-    at an exposed vertex or at a matched leaf (which the flip leaves
-    uncovered) is flipped, and None is returned.  Otherwise the reached
-    (same side, other side) sets are returned: every reached other-side
-    vertex is matched to a reached non-leaf, so the same-side set has fewer
-    neighbours outside `avoid` than members."""
-    parent: dict[int, int] = {}
+    `start`, in smallest-id order, that never enters `avoid`.  Outer vertices
+    are keys of `base`, mapped to the base of their blossom; an edge between
+    two outer blossoms closes an odd cycle, which is shrunk into one.  A path
+    ending at an exposed vertex or (when `may_skip`) at a matched leaf, which
+    the flip leaves uncovered, is flipped, and None is returned.  Otherwise
+    every outer vertex's neighbours are in `avoid`, its blossom or the inner
+    vertices, each inner vertex is matched to the base of one blossom, and
+    the Barrier is returned."""
+    adj = g.adjacency
+    parent: dict[int, int] = {}  # tree parent; around a blossom, of outer vertices too
+    base = {start: start}
+
+    def root_path(v):  # bases from v's blossom up to start's
+        while True:
+            v = base[v]
+            yield v
+            if v == start:
+                return
+            v = parent[mate[v]]
+
+    def shrink(v, b, child):  # route v's side of the cycle to base b; its bases
+        passed = set()
+        while base[v] != b:
+            passed.update((base[v], mate[v]))
+            parent[v], child = child, mate[v]
+            v = parent[child]
+        return passed
+
     frontier = [start]
-    seen = {start}
     while frontier:
         nxt: list[int] = []
         for u in sorted(frontier):
-            for w in g.adjacency[u]:
-                if w in parent or w in avoid:
+            for w in adj[u]:
+                if w in avoid:
+                    continue
+                if w in base:
+                    if base[w] != base[u]:
+                        up = set(root_path(u))
+                        b = next(x for x in root_path(w) if x in up)
+                        marked = shrink(u, b, w) | shrink(w, b, u)
+                        for x in list(base) + list(parent):
+                            if base.get(x, x) in marked:
+                                if x not in base:
+                                    nxt.append(x)
+                                base[x] = b
+                    continue
+                if w in parent:
                     continue
                 parent[w] = u
                 mw = mate[w]
-                if mw < 0 or g.degree(mw) == 1:
+                if mw < 0 or (may_skip and len(adj[mw]) == 1):
                     if mw >= 0:
                         mate[mw] = -1
                     v = w
@@ -133,104 +195,56 @@ def _augment(g: Graph, mate: list[int], start: int, avoid: frozenset[int]):
                         if u2 == start:
                             return None
                         v = prev
-                if mw not in seen:
-                    seen.add(mw)
-                    nxt.append(mw)
+                base[mw] = mw
+                nxt.append(mw)
         frontier = nxt
-    return frozenset(seen), frozenset(parent)
+    groups: dict[int, set[int]] = {}
+    for v, b in base.items():
+        groups.setdefault(b, set()).add(v)
+    return Barrier(inner=frozenset(parent).difference(base),
+                   components=tuple(sorted(map(frozenset, groups.values()), key=min)))
 
 
-def _fill(g: Graph, mate: list[int], m: Matching, starts):
+def _fill(g: Graph, mate: list[int], m: Matching, starts, may_skip: bool):
     """Seed the mate array with the edges of m, then cover each exposed
-    non-leaf of `starts`, in increasing order, by one leaf-ended alternating
-    path avoiding V(m).  Returns None when all are covered, or the reach of
-    the first start that cannot be.
+    vertex of `starts` (each non-leaf, when `may_skip`), in increasing order,
+    by one alternating path avoiding V(m).  Returns None when all are
+    covered, or the Barrier of the first start that cannot be.
 
-    This is exact: if some matching N of g - V(m) covers every non-leaf, the
-    component of (current matching) xor N that starts at an exposed non-leaf
-    is such a path, ending at an exposed vertex or at a matched leaf."""
+    This is exact: if some matching N of g - V(m) covers every vertex that
+    must be covered, the component of (current matching) xor N that starts
+    at an exposed one is such a path, ending at an exposed vertex or at a
+    matched leaf."""
     fixed = frozenset(v for eid in m.edge_ids for v in g.edges[eid])
     for eid in m.edge_ids:
         u, v = g.edges[eid]
         mate[u], mate[v] = v, u
     for s in sorted(starts):
-        if mate[s] < 0 and g.degree(s) > 1:
-            reach = _augment(g, mate, s, fixed)
-            if reach is not None:
-                return reach
+        if mate[s] < 0 and (g.degree(s) > 1 or not may_skip):
+            barrier = _augment(g, mate, s, fixed, may_skip)
+            if barrier is not None:
+                return barrier
     return None
-
-
-# ---------------------------------------------------------------------------
-# exhaustive search (non-bipartite graphs)
-
-def _exhaustive_cover(g: Graph, required: frozenset[int], used: frozenset[int],
-                      budget: Budget) -> set[int] | None:
-    """Backtracking search for a matching (as edge-id set) of g - `used`
-    covering `required`.  The largest-id uncovered required vertex is matched
-    first, to its neighbours in increasing order; one budget step per search
-    node.  The search tree is walked on an explicit stack."""
-    req = sorted(required, reverse=True)
-    used = set(used)
-    chosen: list[int] = []
-    stack = []  # per open node: (vertex, required prefix left, neighbour iterator)
-    i = len(req)
-    while True:
-        budget.spend()
-        while i and req[i - 1] in used:
-            i -= 1
-        if not i:
-            return set(chosen)
-        v = req[i - 1]
-        stack.append((v, i - 1, iter(g.adjacency[v])))
-        while True:
-            v, i, nbrs = stack[-1]
-            w = next((w for w in nbrs if w not in used), None)
-            if w is not None:
-                break
-            stack.pop()
-            if not stack:
-                return None
-            used.difference_update(g.edges[chosen.pop()])
-        used.update((v, w))
-        chosen.append(find_edge(g, v, w))
 
 
 # ---------------------------------------------------------------------------
 # perfect internal matchings and extendability
 
-def extend_to_perfect_internal(g: Graph, m: Matching, budget: Budget | int | None = None):
+def extend_to_perfect_internal(g: Graph, m: Matching):
     """Extend matching `m` to a matching whose uncovered vertices are all
     leaves of g, or return a failure witness.
 
     Reduction: the extension exists iff g - V(m) has a matching covering
-    U = {u not covered by m : deg_g(u) > 1}.  Bipartite graphs fill a mate
-    array by leaf-ended alternating paths (witness: a one-sided HallViolator
-    of non-leaves in g - V(m)); other graphs fall back to exhaustive search
-    (witness: CoverFailure).
+    U = {u not covered by m : deg_g(u) > 1}.  A mate array is filled by
+    alternating paths; the witness of a failure is a Barrier, checked here.
     """
     check_matching(g, m)
-    fixed = covered_vertices(g, m)
-    rest = frozenset(range(g.n)) - fixed
-    if isinstance(compute_bipartition(g), Bipartition):
-        mate = [-1] * g.n
-        reach = _fill(g, mate, m, range(g.n))
-        if reach is not None:
-            hv = HallViolator(subset=reach[0], neighborhood=reach[1],
-                              context="internal extension")
-            check_hall_violator(g, hv, within=rest)
-            return hv
-        eids = frozenset(find_edge(g, v, w) for v, w in enumerate(mate) if v < w)
-    else:
-        required = frozenset(v for v in rest if g.degree(v) > 1)
-        found = _exhaustive_cover(g, required, fixed, make_budget(budget))
-        if found is None:
-            return CoverFailure(
-                required=required,
-                note="no matching in the remainder covers the non-leaf vertices",
-            )
-        eids = m.edge_ids | found
-    full = Matching(eids)
+    mate = [-1] * g.n
+    barrier = _fill(g, mate, m, range(g.n), True)
+    if barrier is not None:
+        check_barrier(g, barrier, covered_vertices(g, m), True)
+        return barrier
+    full = Matching(frozenset(find_edge(g, v, w) for v, w in enumerate(mate) if v < w))
     im = InternalMatching(matching=full, uncovered=frozenset(range(g.n)) - covered_vertices(g, full))
     check_internal_matching(g, im)
     return im
@@ -251,9 +265,10 @@ def _k_matchings(g: Graph, k: int):
             yield Matching(frozenset(combo))
 
 
-def _repair(g: Graph, base: list[int], m: Matching) -> bool:
-    """Whether the k-matching `m` extends to a perfect internal matching,
-    given one perfect internal matching `base` of bipartite g as a mate array.
+def _repair(g: Graph, base: list[int], m: Matching, may_skip: bool) -> bool:
+    """Whether the k-matching `m` extends to a matching that leaves only
+    leaves uncovered (none, unless `may_skip`), given one such matching
+    `base` of g as a mate array.
 
     The base edges at the fixed endpoints V(m) are removed, and `_fill`
     re-covers the at most 2k vertices this exposed."""
@@ -265,19 +280,19 @@ def _repair(g: Graph, base: list[int], m: Matching) -> bool:
             if y >= 0:
                 mate[y] = -1
                 exposed.append(y)
-    if _fill(g, mate, m, exposed) is not None:
+    if _fill(g, mate, m, exposed, may_skip) is not None:
         return False
-    _check_internal_mate(g, mate, m)
+    _check_internal_mate(g, mate, m, may_skip)
     return True
 
 
-def _check_internal_mate(g: Graph, mate: list[int], m: Matching) -> None:
+def _check_internal_mate(g: Graph, mate: list[int], m: Matching, may_skip: bool) -> None:
     """The mate array is a matching of g containing m whose uncovered
-    vertices are all leaves."""
+    vertices are all leaves (none, unless `may_skip`)."""
     adj = g.adjacency
     for v, w in enumerate(mate):
         if w < 0:
-            if len(adj[v]) != 1:
+            if len(adj[v]) != 1 or not may_skip:
                 raise AssertionError(f"uncovered vertex {v} is not a leaf")
         elif mate[w] != v or w not in adj[v]:
             raise AssertionError(f"mate of {v} is not a matched neighbour")
@@ -287,59 +302,35 @@ def _check_internal_mate(g: Graph, mate: list[int], m: Matching) -> None:
             raise AssertionError("repaired matching drops a fixed edge")
 
 
-def is_k_internally_extendable(g: Graph, k: int, budget: Budget | int | None = None):
-    """(bool, witness): every k-matching extends to a perfect internal matching.
-
-    False witness: the lexicographically smallest non-extendable k-matching,
-    or the string 'no k-matching' when none exists.  Bipartite graphs repair
-    one base perfect internal matching per k-matching; other graphs search
-    each extension exhaustively.
-    """
+def _sweep(g: Graph, k: int, may_skip: bool):
+    """(bool, witness): every k-matching extends to a matching leaving only
+    leaves uncovered (none, unless `may_skip`).  One base matching is filled,
+    then repaired per k-matching.  False witness: the lexicographically
+    smallest non-extendable k-matching, or 'no k-matching' when none exists."""
     if k not in (1, 2):
         raise GraphError("k must be 1 or 2")
     if component_count(g) != 1:
         raise GraphError("graph must be connected")
-    budget = make_budget(budget)
-    bipartite = isinstance(compute_bipartition(g), Bipartition)
-    if bipartite:
-        base = [-1] * g.n
-        if _fill(g, base, Matching(frozenset()), range(g.n)) is not None:
-            base = None
-    any_matching = False
+    base = [-1] * g.n
+    if _fill(g, base, Matching(frozenset()), range(g.n), may_skip) is not None:
+        base = None
+    m = None
     for m in _k_matchings(g, k):
-        any_matching = True
-        if bipartite:
-            ok = base is not None and _repair(g, base, m)
-        else:
-            fixed = covered_vertices(g, m)
-            required = frozenset(v for v in range(g.n) if v not in fixed and g.degree(v) > 1)
-            ok = _exhaustive_cover(g, required, fixed, budget) is not None
-        if not ok:
+        if base is None or not _repair(g, base, m, may_skip):
             return False, m
-    if not any_matching:
-        return False, "no k-matching"
-    return True, None
+    return (True, None) if m is not None else (False, "no k-matching")
 
 
-def is_k_extendable(g: Graph, k: int, budget: Budget | int | None = None):
+def is_k_internally_extendable(g: Graph, k: int):
+    """(bool, witness): every k-matching extends to a perfect internal matching."""
+    return _sweep(g, k, True)
+
+
+def is_k_extendable(g: Graph, k: int):
     """(bool, witness): every k-matching extends to a perfect matching."""
-    if k not in (1, 2):
-        raise GraphError("k must be 1 or 2")
-    if component_count(g) != 1:
-        raise GraphError("graph must be connected")
     if g.n < 2 * k:
         raise GraphError("too few vertices")
-    budget = make_budget(budget)
-    any_matching = False
-    for m in _k_matchings(g, k):
-        any_matching = True
-        fixed = covered_vertices(g, m)
-        rest = frozenset(range(g.n)) - fixed
-        if g.n % 2 or _exhaustive_cover(g, rest, fixed, budget) is None:
-            return False, m
-    if not any_matching:
-        return False, "no k-matching"
-    return True, None
+    return _sweep(g, k, False)
 
 
 def plummer_condition(g: Graph, b: Bipartition, k: int):

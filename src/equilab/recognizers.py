@@ -109,12 +109,11 @@ def _is_star(g: Graph) -> bool:
     return g.m == g.n - 1 and max(g.degree(v) for v in range(g.n)) == g.n - 1
 
 
-def component_classification(g: Graph, budget: Budget | int | None = None) -> ComponentClassification:
+def component_classification(g: Graph) -> ComponentClassification:
     """Tag each component as a star, 2-internally extendable, or neither
     (with a non-extendable 2-matching as witness, in host edge ids)."""
     if any(g.degree(v) == 0 for v in range(g.n)):
         raise GraphError("isolated vertex")
-    budget = make_budget(budget)
     tags = []
     comps = components(g)
     for comp in comps:
@@ -125,7 +124,7 @@ def component_classification(g: Graph, budget: Budget | int | None = None) -> Co
         if _is_star(sub):
             tags.append(ComponentTag(kind=STAR, vertices=tuple(old_ids)))
             continue
-        ok, wit = is_k_internally_extendable(sub, 2, budget)
+        ok, wit = is_k_internally_extendable(sub, 2)
         if ok:
             tags.append(ComponentTag(kind=TWO_INTERNALLY_EXTENDABLE, vertices=tuple(old_ids)))
         else:
@@ -141,7 +140,7 @@ def component_classification(g: Graph, budget: Budget | int | None = None) -> Co
 # ---------------------------------------------------------------------------
 # recognition
 
-def recognize_equistarable_bipartite(g: Graph, budget: Budget | int | None = None) -> Verdict:
+def recognize_equistarable_bipartite(g: Graph) -> Verdict:
     """yes iff every component of the bipartite graph g is a star or
     2-internally extendable; witness is the classification (yes) or a
     2-matching that does not extend to a perfect internal matching (no)."""
@@ -150,7 +149,7 @@ def recognize_equistarable_bipartite(g: Graph, budget: Budget | int | None = Non
     b = compute_bipartition(g)
     if not isinstance(b, Bipartition):
         raise GraphError("graph is not bipartite")
-    cls = component_classification(g, budget)
+    cls = component_classification(g)
     for tag in cls.tags:
         if tag.kind == NEITHER:
             return no(tag.witness)
@@ -384,7 +383,7 @@ def crosscheck_table1(g: Graph, budget: Budget | int | None = None) -> Crosschec
     if v["equistable"] is not v["equistarable"]:
         violations.append("star family differs from co-line stable family")
 
-    cls = component_classification(g, budget)
+    cls = component_classification(g)
     rows = {ROW_PARTITION: RowOutcome(yes(cls) if cls.all_good else no(cls),
                                       general_partition(col, budget))}
     rows.update(weighting)

@@ -201,6 +201,12 @@ class TestGallery:
         assert main(["gallery", bad]) == 2
         assert capsys.readouterr().err.startswith("input error: ")
 
+    @pytest.mark.parametrize("bad", ["path(+3)", "path(1_0)", "path(\u0663)",
+                                     "circulant(7,{1,\u0662})", "circulant(7,{1 2})"])
+    def test_bad_integer_exit_2(self, capsys, bad):
+        assert main(["gallery", bad]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
 
 class TestCrosscheck:
     def test_trivial_max_n_2(self, capsys):

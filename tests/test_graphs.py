@@ -80,6 +80,19 @@ class TestConstruction:
         assert g.edges == ((0, 1), (0, 2))
         assert g.adjacency == ((1, 2), (0,), (0,))
 
+    @given(small_graphs(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_adjacency_ascending_for_any_pair_order(self, g, data):
+        # recognize_equistarable_forest relies on ascending adjacency (x < y)
+        flips = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+        pairs = [(v, u) if f else (u, v) for (u, v), f in zip(g.edges, flips)]
+        pairs = data.draw(st.permutations(pairs + pairs[::-1]))
+        nbrs = [set() for _ in range(g.n)]
+        for u, v in pairs:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        assert make_graph(g.labels, pairs).adjacency == tuple(tuple(sorted(s)) for s in nbrs)
+
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError):
             make_graph(("a", "b"), [(0, 0)])
@@ -285,6 +298,12 @@ class TestGallery:
         ("cycle(3,)", "bad arguments in 'cycle(3,)'"),
         ("Cycle(3)", "bad gallery descriptor 'Cycle(3)'"),
         ("star(3)+cycle(2)", "cycle needs n >= 3"),
+        # '+' splits only outside parentheses; arguments are ASCII digits
+        ("path(+3)", "bad arguments in 'path(+3)'"),
+        ("path(1_0)", "bad arguments in 'path(1_0)'"),
+        ("path(\u0663)", "bad arguments in 'path(\u0663)'"),
+        ("circulant(7,{1,\u0662})", "bad circulant descriptor 'circulant(7,{1,\u0662})'"),
+        ("circulant(7,{1 2})", "bad circulant descriptor 'circulant(7,{1 2})'"),
         # an empty '+' part and the bare union name fail, with another message
         ("a+", None),
         ("disjoint_union", None),
