@@ -151,7 +151,6 @@ def cmd_analyze(args) -> int:
     report = {
         "schema": 1,
         "tool_version": __version__,
-        "seed": args.seed,
         "budget": args.budget,
         "graph": {
             "n": g.n,
@@ -163,7 +162,7 @@ def cmd_analyze(args) -> int:
         "properties": {},
     }
     props = report["properties"]
-    verdicts, star, col, stab = panel(g, budget, args.strong, args.with_co_line, args.seed)
+    verdicts, star, col, stab = panel(g, budget, args.strong, args.with_co_line)
     for key, v in verdicts.items():
         graph, system = (col, stab) if key.endswith("equistable") else (g, star)
         props[key] = _verdict_json(graph, v, system)
@@ -312,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", dest="text", action="store_false", default=False)
         sp.add_argument("--text", dest="text", action="store_true")
         sp.add_argument("--budget", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=0)
 
     a = sub.add_parser("analyze", help="run the property panel on a graph")
     a.add_argument("input", help="edge-list file, '-', or gallery:<descriptor>")
@@ -336,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     x = sub.add_parser("crosscheck", help="run the paired-property harness")
     x.add_argument("--max-n", type=int, default=6)
     x.add_argument("--samples", type=int, default=0)
+    x.add_argument("--seed", type=int, default=0)
     common(x)
     x.set_defaults(func=cmd_crosscheck)
     return p

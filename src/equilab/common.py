@@ -1,4 +1,6 @@
-"""Shared primitives: error types, step budgets, and three-valued verdicts."""
+"""Shared primitives: error types, the step budget and the ground-size
+ceilings past which a question ends in an explicit unknown, and three-valued
+verdicts."""
 
 from __future__ import annotations
 
@@ -6,10 +8,6 @@ from dataclasses import dataclass
 
 DEFAULT_ENUMERATION_BUDGET = 10**7
 DEFAULT_STRONG_GROUND_LIMIT = 16
-DEFAULT_EXHAUSTIVE_GROUND_LIMIT = 24
-# decide_equi_exact samples weightings in four rounds of this many, each round
-# drawing from a ten times wider range
-MAX_RETRIES = 64
 # the subset-sum join's ground-size ceiling: each half table has at most 2^20 entries
 JOIN_GROUND_LIMIT = 40
 

@@ -18,18 +18,15 @@ it is returned.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .common import (
     Budget,
     BudgetExhausted,
-    DEFAULT_EXHAUSTIVE_GROUND_LIMIT,
     DEFAULT_STRONG_GROUND_LIMIT,
     GraphError,
     JOIN_GROUND_LIMIT,
-    MAX_RETRIES,
     Verdict,
     no,
     yes,
@@ -363,11 +360,7 @@ def verify_weighting(s: SetSystem, phi: WeightFunction) -> Verdict:
     """Check over all subsets: a subset has total weight 1 iff it is a family
     member.  The offending subset of a no is the smallest one, by size and
     then lexicographic element order."""
-    m = s.ground_size
-    if m > DEFAULT_EXHAUSTIVE_GROUND_LIMIT:
-        raise BudgetExhausted(f"ground size {m} exceeds exhaustive limit",
-                              DEFAULT_EXHAUSTIVE_GROUND_LIMIT)
-    if len(phi.weights) != m:
+    if len(phi.weights) != s.ground_size:
         raise GraphError("weight vector length mismatch")
     for f in s.family:
         total = sum((phi.weights[i] for i in f), Fraction(0))
@@ -383,29 +376,38 @@ def verify_weighting(s: SetSystem, phi: WeightFunction) -> Verdict:
 # ---------------------------------------------------------------------------
 # forced-subset scans
 
+def _kernel_keys(kernel, size: int) -> tuple[list[int], int]:
+    """Each element's scaled kernel coordinates packed into one integer key
+    as balanced digits in a radix above twice every coordinate's absolute
+    column sum, so a subset's key sum is zero exactly when all its kernel dot
+    products are.  Returns (keys, radix ** len(kernel)); every subset's key
+    sum is below half the latter in absolute value."""
+    scaled = [[int(q * _common_denominator(k)) for q in k] for k in kernel]
+    radix = 2 * max((sum(map(abs, k)) for k in scaled), default=0) + 1
+    keys = [0] * size
+    for k in reversed(scaled):
+        keys = [key * radix + c for key, c in zip(keys, k)]
+    return keys, radix ** len(scaled)
+
+
 def _scan_forced_subsets(family_masks, kernel, particular, at_most: bool = False):
     """Smallest (by size, then lexicographic element order) nonempty
     non-family subset whose total is constant over the affine space spanned
     by `kernel` around `particular` and equals 1 (at most 1 with `at_most`).
 
-    Returns (elements, value) or None.  Each element's scaled kernel
-    coordinates are packed into one integer key as balanced digits in a radix
-    above twice every coordinate's absolute column sum, so a subset's key sum
-    is zero exactly when all its kernel dot products are.  For the equality
-    test the scaled particular value is the top digit.
+    Returns (elements, value) or None.  A subset's total is constant exactly
+    when its _kernel_keys sum is zero; for the equality test the scaled
+    particular value is one more digit above the kernel keys.
     """
     den_p = _common_denominator(particular)
     p_int = [int(q * den_p) for q in particular]
-    scaled = [[int(q * _common_denominator(k)) for q in k] for k in kernel]
-    radix = 2 * max((sum(map(abs, k)) for k in scaled), default=0) + 1
-    keys = [0] * len(p_int) if at_most else list(p_int)
-    for k in reversed(scaled):
-        keys = [key * radix + c for key, c in zip(keys, k)]
+    keys, top = _kernel_keys(kernel, len(p_int))
     skip = set(family_masks)
     if at_most:
         found = _smallest_subset(keys, 0, skip, p_int, den_p)
     else:
-        found = _smallest_subset(keys, den_p * radix ** len(scaled), skip)
+        keys = [p * top + key for p, key in zip(p_int, keys)]
+        found = _smallest_subset(keys, den_p * top, skip)
     if found is None:
         return None
     elems = _elements(found)
@@ -435,7 +437,7 @@ def _strictly_positive_point(s: SetSystem):
     return res.value, phi
 
 
-def decide_equi_exact(s: SetSystem, seed: int = 0) -> Verdict:
+def decide_equi_exact(s: SetSystem) -> Verdict:
     """Decide whether some strictly positive weighting realizes exactly the
     family as the unit-total subsets.
 
@@ -444,11 +446,16 @@ def decide_equi_exact(s: SetSystem, seed: int = 0) -> Verdict:
     ForcedValueCertificate with value 1 for a non-family subset.
 
     A weighting exists iff the strictly positive part of the affine solution
-    set is nonempty and no non-family subset is forced to total exactly 1:
-    the bad subsets that are not forced each fail only on a hyperplane, and
-    finitely many hyperplanes cannot cover a relatively open convex set.
+    set is nonempty and no non-family subset is forced to total exactly 1.
+    The yes weighting is built, not searched for: phi = phi0 + kappa / Q,
+    where phi0 is the max-min point with common denominator D, kappa the
+    kernel keys and Q = D * sum |kappa_i| + 1.  Members keep total 1 (kappa
+    is a kernel vector), every weight stays above phi0_i - 1/D >= 0, a
+    subset with kappa(T) = 0 keeps its constant total (not 1, by the scan),
+    and otherwise a total of 1 would need Q * (D - D * phi0(T)) =
+    D * kappa(T), whose left side is 0 or at least Q in absolute value and
+    whose right side is nonzero and below Q.
     """
-    m = s.ground_size
     space = solve_unit_system(s)
     if isinstance(space, UnitSystemInfeasible):
         return no(space)
@@ -463,37 +470,13 @@ def decide_equi_exact(s: SetSystem, seed: int = 0) -> Verdict:
         assert isinstance(cert, ForcedValueCertificate) and cert.value == 1
         return no(cert)
 
-    # only the yes path needs the verification join over all subsets; past
-    # its ground limit the first verify_weighting call raises BudgetExhausted
-    rng = random.Random(seed)
-    d = len(space.kernel_basis)
-    bound = 1000
-    for attempt in range(MAX_RETRIES * 4):
-        if attempt > 0 and attempt % MAX_RETRIES == 0:
-            bound *= 10
-        if d == 0 or attempt == 0:
-            phi = phi0
-        else:
-            delta = [Fraction(0)] * m
-            for k in space.kernel_basis:
-                r = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-                for i in range(m):
-                    delta[i] += r * k[i]
-            peak = max((abs(x) for x in delta), default=Fraction(0))
-            if peak == 0:
-                phi = phi0
-            else:
-                scale = opt / (2 * peak)
-                phi = tuple(a + scale * b for a, b in zip(phi0, delta))
-        cand = WeightFunction(tuple(phi))
-        verdict = verify_weighting(s, cand)
-        if verdict.is_yes:
-            return yes(cand)
-        if d == 0:
-            # unique solution failed although nothing is forced to 1: impossible
-            raise AssertionError("unique solution contradicts the forced-subset scan")
-    raise BudgetExhausted(f"hyperplane-avoiding sampling failed in {MAX_RETRIES * 4} "
-                          f"attempts (max_retries={MAX_RETRIES})", MAX_RETRIES)
+    kappa, _ = _kernel_keys(space.kernel_basis, s.ground_size)
+    den = _common_denominator(phi0)
+    q = den * sum(map(abs, kappa)) + 1
+    phi = WeightFunction(tuple(a + Fraction(k, q) for a, k in zip(phi0, kappa)))
+    if not verify_weighting(s, phi).is_yes:
+        raise AssertionError("the constructed weighting fails verification")
+    return yes(phi)
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,10 @@ def extend_to_perfect_internal(g: Graph, m: Matching):
     Reduction: the extension exists iff g - V(m) has a matching covering
     U = {u not covered by m : deg_g(u) > 1}.  A mate array is filled by
     alternating paths; the witness of a failure is a Barrier, checked here.
+    An isolated vertex is neither a leaf nor coverable: GraphError.
     """
+    if any(not nbrs for nbrs in g.adjacency):
+        raise GraphError("isolated vertex")
     check_matching(g, m)
     mate = [-1] * g.n
     barrier = _fill(g, mate, m, range(g.n), True)

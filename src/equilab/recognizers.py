@@ -284,7 +284,7 @@ def check_strong_clique_map(g: Graph, m: StrongCliqueMap,
 # property panel
 
 def panel(g: Graph, budget: Budget | int | None = None, strong: bool = False,
-          with_co_line: bool = False, seed: int = 0):
+          with_co_line: bool = False):
     """Decide p5_constrained, equistarable on g's star system (left out when g
     has an isolated vertex) and, with with_co_line, equistable on the stable
     system of co-line(g) (left out when g has no edges); with strong, also the
@@ -297,7 +297,7 @@ def panel(g: Graph, budget: Budget | int | None = None, strong: bool = False,
     Returns (verdicts in report order, star system, co-line graph, stable
     system); each of the last three is None where it was not built."""
     verdicts = {"p5_constrained": is_p5_constrained(g)}
-    deciders = [("", lambda s: equicert.decide_equi_exact(s, seed=seed))]
+    deciders = [("", equicert.decide_equi_exact)]
     if strong:
         deciders.append(("strongly_", equicert.strong_check))
 

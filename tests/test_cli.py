@@ -123,8 +123,8 @@ class TestAnalyze:
         assert props["strongly_equistable"]["value"] == "yes"
 
     def test_determinism(self, capsys):
-        _, first = run(capsys, ["analyze", "gallery:graph_h", "--strong", "--seed", "3"])
-        _, second = run(capsys, ["analyze", "gallery:graph_h", "--strong", "--seed", "3"])
+        _, first = run(capsys, ["analyze", "gallery:graph_h", "--strong"])
+        _, second = run(capsys, ["analyze", "gallery:graph_h", "--strong"])
         assert first == second
 
 

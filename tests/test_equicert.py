@@ -274,10 +274,10 @@ class TestVerifyWeighting:
         assert (ones == expected) == verify_weighting(s, WeightFunction(w)).is_yes
 
     def test_ground_too_big(self):
-        # 25 edges: one past the exhaustive limit
-        s = star_system(generate("cycle(25)"))
-        with pytest.raises(BudgetExhausted, match="exceeds exhaustive limit"):
-            verify_weighting(s, WeightFunction((Fraction(1, 2),) * 25))
+        # 41 edges: one past the subset join's ceiling
+        s = star_system(generate("cycle(41)"))
+        with pytest.raises(BudgetExhausted, match="exceeds the subset-join ceiling"):
+            verify_weighting(s, WeightFunction((Fraction(1, 2),) * 41))
 
 
 class TestDecide:
@@ -318,20 +318,34 @@ class TestDecide:
         v = decide_equi_exact(star_system(parse_edge_list(text)))
         assert v == no(StrictPositivityFailure(max_min_weight=max_min))
 
-    def test_seed_determinism(self):
-        a = decide_equi_exact(star_system(generate("cycle(4)")), seed=5)
-        b = decide_equi_exact(star_system(generate("cycle(4)")), seed=5)
-        assert a == b
-
-    def test_retry_cap_is_unknown(self, monkeypatch, capsys):
-        # sampling that never passes verification ends in a budget note
+    def test_failed_verification_is_an_error(self, monkeypatch):
+        # the built weighting is valid by construction: a failed check is a bug
         monkeypatch.setattr(equicert, "verify_weighting", lambda *args: no())
-        with pytest.raises(BudgetExhausted, match="max_retries=64") as exc:
+        with pytest.raises(AssertionError, match="fails verification"):
             decide_equi_exact(star_system(generate("cycle(4)")))
-        assert exc.value.limit == 64
-        assert main(["analyze", "gallery:cycle(4)"]) == 3
-        rep = json.loads(capsys.readouterr().out)
-        assert rep["properties"]["equistarable"]["value"] == "unknown"
+
+    def test_yes_verifies_once(self, monkeypatch, bipartite8, triangle_free7):
+        # one built weighting per yes, checked once, on star systems and on
+        # the stable systems of co-line graphs of graphs with triangles
+        import networkx as nx
+        with_triangles = [make_graph(tuple(map(str, h.nodes())), list(h.edges()))
+                          for h in nx.graph_atlas_g()[1:]
+                          if h.number_of_nodes() <= 6 and nx.is_connected(h)
+                          and any(nx.triangles(h).values())]
+        systems = [star_system(g) for g in bipartite8 + triangle_free7]
+        systems += [stable_system(co_line(g).graph) for g in with_triangles]
+        calls = count_calls(monkeypatch, equicert, "verify_weighting")
+        yeses = 0
+        for s in systems:
+            calls[0] = 0
+            v = decide_equi_exact(s)
+            if v.is_yes:
+                yeses += 1
+                assert calls[0] == 1, s.family
+                assert all(w > 0 for w in v.witness.weights), s.family
+            else:
+                assert calls[0] == 0, s.family
+        assert yeses > 0
 
     def test_join_ceiling_is_fast(self, capsys):
         # m = 60 is past the subset join's ceiling: unknown, not a 2^30 scan

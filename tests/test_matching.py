@@ -125,6 +125,12 @@ class TestPerfectInternal:
         # blossom is the barrier's one odd component
         assert res == Barrier(inner=frozenset(), components=(frozenset({0, 1, 2}),))
 
+    def test_isolated_vertex_is_input_error(self):
+        # an isolated vertex can be neither covered nor left as a leaf
+        g = make_graph(("a", "b", "c"), [(0, 1)])
+        with pytest.raises(GraphError, match="isolated vertex"):
+            extend_to_perfect_internal(g, Matching(frozenset()))
+
     @given(bipartite_with_leaves())
     @settings(max_examples=60, deadline=None)
     def test_failures_are_one_sided_hall_violators(self, g):
