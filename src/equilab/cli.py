@@ -29,6 +29,7 @@ from .equicert import (
     certificate_to_json,
     forced_value,
     rational_to_json,
+    solve_unit_system,
     stable_system,
     star_system,
 )
@@ -223,18 +224,18 @@ def cmd_certify(args) -> int:
         if not tokens:
             raise GraphError("empty target")
         system, target = _resolve_targets(g, tokens, make_budget(args.budget))
-        res = forced_value(system, target)
+        res = solve_unit_system(system)
+        if not isinstance(res, UnitSystemInfeasible):
+            res = forced_value(system, target, res)
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (GraphError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    out = {"schema": 1, "tool_version": __version__}
-    if isinstance(res, ForcedValueCertificate):
-        out["certificate"] = certificate_to_json(system, res)
-    else:
-        out["not_forced"] = _witness_json(g, res, system)
+    key = ("certificate" if isinstance(res, ForcedValueCertificate)
+           else "not_forced" if isinstance(res, NotForced) else "infeasible_unit_system")
+    out = {"schema": 1, "tool_version": __version__, key: _witness_json(g, res, system)}
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK
 

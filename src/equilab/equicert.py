@@ -6,9 +6,14 @@ engine decides whether a strictly positive weighting exists under which the
 subsets of total weight exactly 1 are precisely the family members, produces
 forced-value certificates (rational combinations of family characteristic
 vectors), and checks the strong variant over the nonnegative unit polytope.
-Every question over all 2^m subsets (verifying a weighting, finding a subset
-forced to total 1 or at most 1) goes through one meet-in-the-middle
-subset-sum join, with ground size at most JOIN_GROUND_LIMIT.
+The unit equations of a system are analyzed once (analyze_unit_system: one
+elimination and one max-min LP), and every decider reads its answer from
+that analysis: forced-value coefficients come from the elimination's row
+combinations, and the strong check needs more LPs only when the max-min
+weight is exactly 0.  Every question over all 2^m subsets (verifying a
+weighting, finding a subset forced to total 1 or at most 1) goes through one
+meet-in-the-middle subset-sum join, with ground size at most
+JOIN_GROUND_LIMIT.
 
 Everything here is exact: weights, certificates, and LP optimizers are
 fractions, and every certificate re-verifies by rational identities before
@@ -31,7 +36,7 @@ from .common import (
     no,
     yes,
 )
-from .exactla import nullspace, solve_exact
+from .exactla import eliminate, solve_exact
 from .graphs import Graph, enumerate_maximal_stable_sets
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_optimize
 
@@ -101,8 +106,16 @@ class NotForced:
 
 @dataclass(frozen=True)
 class AffineSolutionSpace:
+    """Solutions of the unit equations and their elimination: reduced row i
+    has its pivot in column pivots[i] and is the combinations[i] of the
+    members; each dependencies row combines the members to 0, with a 1 at a
+    member in the span of earlier ones and a 0 at the others of those."""
+
     particular: tuple[Fraction, ...]
     kernel_basis: tuple[tuple[Fraction, ...], ...]
+    pivots: tuple[int, ...]
+    combinations: tuple[tuple[Fraction, ...], ...]
+    dependencies: tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -118,6 +131,17 @@ class StrictPositivityFailure:
     carries the exact maximum over solutions of the minimum weight."""
 
     max_min_weight: Fraction
+
+
+@dataclass(frozen=True)
+class UnitAnalysis:
+    """The unit equations' solution space (or infeasibility certificate) and,
+    if feasible, the maximum over solutions of the minimum weight and a
+    solution attaining it."""
+
+    space: AffineSolutionSpace | UnitSystemInfeasible
+    max_min_weight: Fraction | None = None
+    max_min_point: tuple[Fraction, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -195,19 +219,26 @@ def _unit_equations(s: SetSystem) -> list[tuple[list[Fraction], Fraction]]:
 
 
 def solve_unit_system(s: SetSystem):
-    """Exact solution space of 'every family member sums to 1', or an
-    infeasibility certificate."""
+    """Exact solution space of 'every family member sums to 1', with its
+    elimination record, or an infeasibility certificate."""
     rows = [_indicator(f, s.ground_size) for f in s.family]
-    res = solve_exact(rows, [Fraction(1)] * len(rows))
+    res = eliminate(rows, [Fraction(1)] * len(rows), s.ground_size)
     if res[0] == "infeasible":
-        combo = tuple(res[1])
-        cert = UnitSystemInfeasible(combination=combo)
+        cert = UnitSystemInfeasible(combination=tuple(res[1]))
         check_infeasibility(s, cert)
         return cert
-    _, particular, kernel = res
+    _, particular, kernel, pivots, tab = res
+    combos, r = [tuple(row[s.ground_size + 1:]) for row in tab], len(pivots)
+    # the zero rows' combinations span the left kernel; eliminated with the
+    # members in reverse order, each reduced row's last nonzero member is in
+    # the span of earlier members, and every other row is 0 there
+    left = eliminate([c[::-1] for c in combos[r:]], [0] * (len(combos) - r))
     space = AffineSolutionSpace(
         particular=tuple(particular),
         kernel_basis=tuple(tuple(v) for v in kernel),
+        pivots=tuple(pivots),
+        combinations=tuple(combos[:r]),
+        dependencies=tuple(tuple(reversed(row[:len(combos)])) for row in left[4][:len(left[3])]),
     )
     check_affine_space(s, space)
     return space
@@ -243,7 +274,9 @@ def forced_value(s: SetSystem, target, space: AffineSolutionSpace | None = None)
     """Is the target's total weight constant over all unit-equation solutions?
 
     Returns a verified ForcedValueCertificate, or NotForced with a separating
-    kernel direction.
+    kernel direction.  chi(target) is the sum of the reduced rows whose pivot
+    lies in it; the dependencies then zero every member in the span of
+    earlier ones, as an elimination of the members would.
     """
     target = tuple(sorted(set(target)))
     if not target:
@@ -256,20 +289,18 @@ def forced_value(s: SetSystem, target, space: AffineSolutionSpace | None = None)
         if sum((k[i] for i in target), Fraction(0)) != 0:
             return NotForced(target=target, kernel_direction=k)
     value = sum((space.particular[i] for i in target), Fraction(0))
-    lam = _reconstruct_coefficients(s, target)
-    cert = ForcedValueCertificate(target=target, coefficients=lam, value=value)
+    tset = set(target)
+    lam = [Fraction(0)] * len(s.family)
+    for c, combo in zip(space.pivots, space.combinations):
+        if c in tset:
+            lam = [a + b for a, b in zip(lam, combo)]
+    for dep in space.dependencies:
+        f = lam[max(j for j, y in enumerate(dep) if y)]
+        if f:
+            lam = [a - f * y for a, y in zip(lam, dep)]
+    cert = ForcedValueCertificate(target=target, coefficients=tuple(lam), value=value)
     check_certificate(s, cert)
     return cert
-
-
-def _reconstruct_coefficients(s: SetSystem, target) -> tuple[Fraction, ...]:
-    """Solve sum_j lam_j chi(F_j) = chi(target) by exact elimination."""
-    members = [_indicator(f, s.ground_size) for f in s.family]
-    rows = [[row[i] for row in members] for i in range(s.ground_size)]
-    res = solve_exact(rows, _indicator(target, s.ground_size))
-    if res[0] != "solution":
-        raise AssertionError("forced target has no coefficient representation")
-    return tuple(res[1])
 
 
 def check_certificate(s: SetSystem, cert: ForcedValueCertificate) -> None:
@@ -417,11 +448,13 @@ def _scan_forced_subsets(family_masks, kernel, particular, at_most: bool = False
 # ---------------------------------------------------------------------------
 # the exact decision procedure
 
-def _strictly_positive_point(s: SetSystem):
-    """Maximize the minimum weight over the unit-equation solutions.
-
-    Returns (optimum t, solution phi) with phi_i >= t for all i.
-    """
+def analyze_unit_system(s: SetSystem) -> UnitAnalysis:
+    """Solve the unit equations and, if they are feasible, maximize the
+    minimum weight over their solutions: one analysis per set system, for
+    decide_equi_exact and strong_check."""
+    space = solve_unit_system(s)
+    if isinstance(space, UnitSystemInfeasible):
+        return UnitAnalysis(space)
     m = s.ground_size
     # substitute phi_i = psi_i + t with psi >= 0 and t = t+ - t- (variables
     # m and m + 1, both >= 0)
@@ -430,14 +463,13 @@ def _strictly_positive_point(s: SetSystem):
     obj = [Fraction(0)] * m + [Fraction(1), Fraction(-1)]
     res = lp_optimize(m + 2, eqs, obj, direction="max")
     if res.status == UNBOUNDED:  # empty family: anything goes
-        return Fraction(1), (Fraction(1),) * m
+        return UnitAnalysis(space, Fraction(1), (Fraction(1),) * m)
     assert res.status == OPTIMAL  # t <= 1/|F| for any member F, never unbounded
     t = res.solution[m] - res.solution[m + 1]
-    phi = tuple(res.solution[i] + t for i in range(m))
-    return res.value, phi
+    return UnitAnalysis(space, res.value, tuple(res.solution[i] + t for i in range(m)))
 
 
-def decide_equi_exact(s: SetSystem) -> Verdict:
+def decide_equi_exact(s: SetSystem, analysis: UnitAnalysis | None = None) -> Verdict:
     """Decide whether some strictly positive weighting realizes exactly the
     family as the unit-total subsets.
 
@@ -454,12 +486,13 @@ def decide_equi_exact(s: SetSystem) -> Verdict:
     subset with kappa(T) = 0 keeps its constant total (not 1, by the scan),
     and otherwise a total of 1 would need Q * (D - D * phi0(T)) =
     D * kappa(T), whose left side is 0 or at least Q in absolute value and
-    whose right side is nonzero and below Q.
+    whose right side is nonzero and below Q.  `analysis` defaults to
+    analyze_unit_system(s).
     """
-    space = solve_unit_system(s)
+    analysis = analysis or analyze_unit_system(s)
+    space, opt, phi0 = analysis.space, analysis.max_min_weight, analysis.max_min_point
     if isinstance(space, UnitSystemInfeasible):
         return no(space)
-    opt, phi0 = _strictly_positive_point(s)
     if opt <= 0:
         return no(StrictPositivityFailure(max_min_weight=opt))
 
@@ -515,36 +548,47 @@ def _support_search(s: SetSystem, eqs):
     return support, center
 
 
-def strong_check(s: SetSystem) -> Verdict:
+def strong_check(s: SetSystem, analysis: UnitAnalysis | None = None) -> Verdict:
     """Decide the strong variant over the nonnegative unit polytope
     {phi >= 0, every family member totals 1}.
 
     no iff the polytope is empty, or some nonempty non-family subset T has
     the same total gamma <= 1 at every polytope point; witness (T, gamma) is
-    the smallest such subset, re-verified by check_strong_witness.  The
-    polytope's support comes from _support_search, a few LPs that each
-    maximize the coordinates not yet known to be positive; the subsets with
-    a constant total are those orthogonal to the kernel of the unit rows and
-    the vanishing coordinates.
+    the smallest such subset.  Those subsets are orthogonal to the kernel of
+    the unit rows and the coordinates that vanish on the polytope.  All of it
+    is read off `analysis` (default analyze_unit_system(s)): the polytope is
+    empty iff the unit system is infeasible or the max-min weight negative;
+    a positive max-min weight means that nothing vanishes, and the witness's
+    forced-value certificate re-verifies it without an LP.  Only a max-min
+    weight of 0 needs the LPs of _support_search and check_strong_witness.
     """
     m = s.ground_size
     if m > DEFAULT_STRONG_GROUND_LIMIT:
         raise BudgetExhausted(f"ground size {m} exceeds strong-check limit",
                               DEFAULT_STRONG_GROUND_LIMIT)
-    eqs = _unit_equations(s)
-    searched = _support_search(s, eqs)
-    if searched is None:
+    analysis = analysis or analyze_unit_system(s)
+    opt = analysis.max_min_weight
+    if opt is None or opt < 0:
         return no(EmptyPolytope())
-    support, center = searched
-
-    rows = [row for row, _ in eqs] + [_indicator((i,), m) for i in range(m) if i not in support]
-    kernel = nullspace(rows, n_cols=m)
+    support, center, kernel = range(m), analysis.max_min_point, analysis.space.kernel_basis
+    if opt == 0:
+        support, center = _support_search(s, _unit_equations(s))
+        vanishing = [i for i in range(m) if i not in support]
+        _, _, combos = solve_exact([[k[i] for k in kernel] for i in vanishing],
+                                   [0] * len(vanishing))
+        kernel = [[sum((c * k[i] for c, k in zip(combo, kernel)), Fraction(0))
+                   for i in range(m)] for combo in combos]
 
     found = _scan_forced_subsets(s.family_masks(), kernel, center, at_most=True)
     if found is None:
         return yes({"support": tuple(sorted(support)), "subsets_checked": (1 << m) - 1})
     witness = StrongWitness(target=found[0], gamma=found[1])
-    check_strong_witness(s, witness)
+    if opt == 0:
+        check_strong_witness(s, witness)
+    else:  # T's total is fixed on every solution, and the max-min point is one
+        cert = forced_value(s, witness.target, analysis.space)
+        if not isinstance(cert, ForcedValueCertificate) or cert.value != witness.gamma:
+            raise AssertionError("strong witness does not re-verify")
     return no(witness)
 
 

@@ -1,6 +1,6 @@
 """Exact rational linear algebra: Gauss-Jordan elimination with solution,
-kernel basis, and infeasibility certificates, and the row pivot that the
-simplex shares.  No floating point."""
+kernel basis, row combinations and infeasibility certificates, and the row
+pivot that the simplex shares.  No floating point."""
 
 from __future__ import annotations
 
@@ -18,18 +18,19 @@ def _pivot(tab, row, col):
             tab[i] = [x - f * y for x, y in zip(r, tab[row])]
 
 
-def solve_exact(rows, rhs):
-    """Solve A x = b over the rationals.
+def eliminate(rows, rhs, n_cols=0):
+    """Solve A x = b over the rationals and keep the elimination record.
 
-    rows: list of coefficient lists, rhs: list of right-hand sides.
-    Returns ('solution', particular, kernel_basis) where kernel_basis spans
-    {x : A x = 0}, or ('infeasible', combo) where combo is a per-equation
-    coefficient vector with combo . A = 0 and combo . b != 0.
+    n_cols is the width of an A without rows.  Returns ('solution',
+    particular, kernel_basis, pivot_cols, tab), where tab holds one reduced
+    row [A | b | T] per equation and T expresses it as a combination of the
+    original equations: row i < len(pivot_cols) has a 1 in column
+    pivot_cols[i] and 0 in every other pivot column, and the later rows are
+    zero on A, so their T parts span {y : y . A = 0}.  Or ('infeasible',
+    combo) as solve_exact.
     """
     m = len(rows)
-    n = len(rows[0]) if m else 0
-    # one row [A | b | T] per equation; T tracks the current row as a
-    # combination of the original equations
+    n = len(rows[0]) if m else n_cols
     tab = [[Fraction(x) for x in row] + [Fraction(b)]
            + [Fraction(int(i == j)) for j in range(m)]
            for i, (row, b) in enumerate(zip(rows, rhs))]
@@ -61,21 +62,15 @@ def solve_exact(rows, rhs):
         for i, c in enumerate(pivot_cols):
             vec[c] = -tab[i][fc]
         kernel.append(vec)
-    return "solution", particular, kernel
+    return "solution", particular, kernel, pivot_cols, tab
 
 
-def nullspace(rows, n_cols=None):
-    """Basis of {x : A x = 0}."""
-    if not rows:
-        if n_cols is None:
-            return []
-        basis = []
-        for j in range(n_cols):
-            vec = [Fraction(0)] * n_cols
-            vec[j] = Fraction(1)
-            basis.append(vec)
-        return basis
-    res = solve_exact(rows, [Fraction(0)] * len(rows))
-    assert res[0] == "solution"
-    return res[2]
+def solve_exact(rows, rhs):
+    """Solve A x = b over the rationals.
 
+    rows: list of coefficient lists, rhs: list of right-hand sides.
+    Returns ('solution', particular, kernel_basis) where kernel_basis spans
+    {x : A x = 0}, or ('infeasible', combo) where combo is a per-equation
+    coefficient vector with combo . A = 0 and combo . b != 0.
+    """
+    return eliminate(rows, rhs)[:3]

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .common import GraphError
-from .graphs import Bipartition, Graph, component_count, find_edge
+from .graphs import Graph, component_count, find_edge
 
 
 @dataclass(frozen=True)
@@ -31,15 +31,6 @@ class Matching:
     @property
     def size(self) -> int:
         return len(self.edge_ids)
-
-
-@dataclass(frozen=True)
-class HallViolator:
-    """One-sided set X with |N(X)| too small for the requested saturation."""
-
-    subset: frozenset[int]
-    neighborhood: frozenset[int]
-    context: str = ""
 
 
 @dataclass(frozen=True)
@@ -83,20 +74,6 @@ def check_internal_matching(g: Graph, im: InternalMatching) -> None:
     for v in im.uncovered:
         if g.degree(v) != 1:
             raise AssertionError(f"uncovered vertex {v} is not a leaf")
-
-
-def check_hall_violator(g: Graph, hv: HallViolator, within: frozenset[int] | None = None) -> None:
-    """Verify |N(X)| < |X|, neighborhoods taken inside `within` when given."""
-    nbh: set[int] = set()
-    for v in hv.subset:
-        for w in g.adjacency[v]:
-            if within is None or w in within:
-                nbh.add(w)
-    nbh -= set(hv.subset)
-    if frozenset(nbh) != hv.neighborhood:
-        raise AssertionError("stored neighborhood is wrong")
-    if len(nbh) >= len(hv.subset):
-        raise AssertionError("not a Hall violator")
 
 
 def check_barrier(g: Graph, w: Barrier, fixed: frozenset[int], may_skip: bool) -> None:
@@ -335,26 +312,3 @@ def is_k_extendable(g: Graph, k: int):
         raise GraphError("too few vertices")
     return _sweep(g, k, False)
 
-
-def plummer_condition(g: Graph, b: Bipartition, k: int):
-    """(bool, witness): |A| = |B| and |N(X)| >= |X| + k for every nonempty
-    X within one side with |X| <= |A| - k.  Brute force over subsets."""
-    if component_count(g) != 1:
-        raise GraphError("graph must be connected")
-    if g.n < 2 * k:
-        raise GraphError("too few vertices")
-    side_a = sorted(b.side_a)
-    if len(side_a) > 20:
-        raise GraphError("side too large for brute-force check")
-    if len(b.side_a) != len(b.side_b):
-        return False, "unequal sides"
-    for size in range(1, len(side_a) - k + 1):
-        for x in itertools.combinations(side_a, size):
-            nbh: set[int] = set()
-            for v in x:
-                nbh.update(g.adjacency[v])
-            if len(nbh) < len(x) + k:
-                return False, HallViolator(
-                    subset=frozenset(x), neighborhood=frozenset(nbh),
-                    context=f"plummer k={k}")
-    return True, None

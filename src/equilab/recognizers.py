@@ -292,7 +292,8 @@ def panel(g: Graph, budget: Budget | int | None = None, strong: bool = False,
     strong_check's ground limit, or from enumerating the stable system within
     `budget`) becomes unknown(exc).  For a triangle-free g the maximal stable
     sets of co-line(g) are the maximal stars of g: when `SetSystem.same_members`
-    holds, the co-line verdicts are the star verdicts themselves.
+    holds, the co-line verdicts are the star verdicts themselves.  Each
+    system's unit equations are analyzed once, for all of its deciders.
 
     Returns (verdicts in report order, star system, co-line graph, stable
     system); each of the last three is None where it was not built."""
@@ -302,9 +303,10 @@ def panel(g: Graph, budget: Budget | int | None = None, strong: bool = False,
         deciders.append(("strongly_", equicert.strong_check))
 
     def settle(side, system):
+        analysis = equicert.analyze_unit_system(system)
         for prefix, decide in deciders:
             try:
-                verdicts[prefix + side] = decide(system)
+                verdicts[prefix + side] = decide(system, analysis)
             except BudgetExhausted as exc:
                 verdicts[prefix + side] = unknown(exc)
 

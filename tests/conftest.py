@@ -8,12 +8,14 @@ networkx/sympy/scipy).
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
+from equilab.common import GraphError
 from equilab.corpus import _default_labels, _is_connected
-from equilab.graphs import Graph, make_graph
+from equilab.graphs import Bipartition, Graph, make_graph
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +93,66 @@ def oracle_maximal_stars(g: Graph):
     ))
 
 
+@dataclass(frozen=True)
+class HallViolator:
+    """One-sided set X with |N(X)| too small for the requested saturation."""
+
+    subset: frozenset[int]
+    neighborhood: frozenset[int]
+    context: str = ""
+
+
+def check_hall_violator(g: Graph, hv: HallViolator, within: frozenset[int] | None = None) -> None:
+    """Verify |N(X)| < |X|, neighborhoods taken inside `within` when given."""
+    nbh: set[int] = set()
+    for v in hv.subset:
+        for w in g.adjacency[v]:
+            if within is None or w in within:
+                nbh.add(w)
+    nbh -= set(hv.subset)
+    if frozenset(nbh) != hv.neighborhood:
+        raise AssertionError("stored neighborhood is wrong")
+    if len(nbh) >= len(hv.subset):
+        raise AssertionError("not a Hall violator")
+
+
+def plummer_condition(g: Graph, b: Bipartition, k: int):
+    """(bool, witness): |A| = |B| and |N(X)| >= |X| + k for every nonempty
+    X within one side with |X| <= |A| - k.  Brute force over subsets."""
+    if not _is_connected(g.n, g.edges):
+        raise GraphError("graph must be connected")
+    if g.n < 2 * k:
+        raise GraphError("too few vertices")
+    side_a = sorted(b.side_a)
+    if len(side_a) > 20:
+        raise GraphError("side too large for brute-force check")
+    if len(b.side_a) != len(b.side_b):
+        return False, "unequal sides"
+    for size in range(1, len(side_a) - k + 1):
+        for x in itertools.combinations(side_a, size):
+            nbh: set[int] = set()
+            for v in x:
+                nbh.update(g.adjacency[v])
+            if len(nbh) < len(x) + k:
+                return False, HallViolator(
+                    subset=frozenset(x), neighborhood=frozenset(nbh),
+                    context=f"plummer k={k}")
+    return True, None
+
+
+def reference_coefficients(s, target):
+    """Coefficients lam with sum_j lam_j chi(F_j) = chi(target), by exact
+    elimination of the transposed unit system: the solution that is 0 at
+    every member in the span of earlier members."""
+    from equilab.exactla import solve_exact
+
+    members = [[Fraction(int(i in f)) for i in range(s.ground_size)] for f in s.family]
+    rows = [[row[i] for row in members] for i in range(s.ground_size)]
+    res = solve_exact(rows, [Fraction(int(i in target)) for i in range(s.ground_size)])
+    assert res[0] == "solution", "forced target has no coefficient representation"
+    return tuple(res[1])
+
+
 # ---------------------------------------------------------------------------
 # small graph helpers
 
@@ -151,6 +213,14 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
             pairs.append((u1 * nh + v1, u2 * nh + v2))
             pairs.append((u1 * nh + v2, u2 * nh + v1))
     return make_graph(labels, pairs)
+
+
+def random_graph_with_triangle(n: int, p: float, rng: random.Random) -> Graph:
+    """Random connected graph on n >= 3 vertices, edge probability p, with the
+    triangle 0-1-2 and every later vertex joined to an earlier one."""
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    edges |= {(0, 1), (1, 2), (0, 2)} | {(rng.randrange(v), v) for v in range(3, n)}
+    return make_graph(_default_labels(n), sorted(edges))
 
 
 def random_connected_bipartite(a: int, b: int, p: float, rng: random.Random) -> Graph:

@@ -41,7 +41,6 @@ from equilab.matching import (
     extend_to_perfect_internal,
     InternalMatching,
     is_k_extendable,
-    plummer_condition,
 )
 from equilab.recognizers import (
     check_five_path,
@@ -52,7 +51,7 @@ from equilab.recognizers import (
 )
 from equilab.transforms import disjoint_union
 
-from conftest import random_connected_bipartite
+from conftest import plummer_condition, random_connected_bipartite
 
 
 @pytest.fixture(autouse=True)

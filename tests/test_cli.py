@@ -151,6 +151,19 @@ class TestCertify:
         rep = json.loads(out)
         assert "not_forced" in rep
 
+    def test_infeasible_unit_system_is_the_answer(self, capsys):
+        # K_{4,3}: no weighting satisfies the unit equations, so no target is
+        # forced; the infeasibility certificate is printed, as analyze does
+        code, out = run(capsys, ["certify", "gallery:complete_bipartite(4,3)",
+                                 "--target", "a1-b1"])
+        assert code == 0
+        rep = json.loads(out)
+        _, analyzed = run(capsys, ["analyze", "gallery:complete_bipartite(4,3)"])
+        witness = json.loads(analyzed)["properties"]["equistarable"]["witness"]
+        assert rep == {"schema": 1, "tool_version": rep["tool_version"],
+                       "infeasible_unit_system": witness}
+        assert witness["type"] == "infeasible_unit_system"
+
     def test_vertex_targets_use_stable_system(self, capsys):
         code, out = run(capsys, ["certify", "gallery:complete(3)", "--target", "1"])
         assert code == 0

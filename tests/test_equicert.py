@@ -25,6 +25,7 @@ from equilab.equicert import (
     _scan_forced_subsets,
     _support_search,
     _unit_equations,
+    analyze_unit_system,
     certificate_from_json,
     certificate_to_json,
     check_certificate,
@@ -39,7 +40,7 @@ from equilab.equicert import (
     strong_check,
     verify_weighting,
 )
-from equilab.exactla import nullspace
+from equilab.exactla import solve_exact
 from equilab.graphs import find_edge_by_name, generate, make_graph, parse_edge_list
 from equilab.simplex import INFEASIBLE, UNBOUNDED, lp_optimize
 from equilab.transforms import co_line, disjoint_union
@@ -49,7 +50,9 @@ from conftest import (
     count_calls,
     oracle_maximal_stars,
     oracle_unit_subsets,
+    random_graph_with_triangle,
     reference_check_set_system,
+    reference_coefficients,
 )
 
 
@@ -90,8 +93,8 @@ def reference_strong_check(s):
     support, center = found
     rows = [_indicator(f, m) for f in s.family]
     rows += [_indicator((i,), m) for i in range(m) if i not in support]
-    hit = _scan_forced_subsets(s.family_masks(), nullspace(rows, n_cols=m), center,
-                               at_most=True)
+    kernel = solve_exact(rows, [0] * len(rows))[2]
+    hit = _scan_forced_subsets(s.family_masks(), kernel, center, at_most=True)
     if hit is None:
         return support, yes({"support": tuple(support), "subsets_checked": (1 << m) - 1})
     return support, no(StrongWitness(target=hit[0], gamma=hit[1]))
@@ -230,6 +233,42 @@ class TestForcedValue:
         s = star_system(generate("complete_bipartite(4,3)"))
         with pytest.raises(GraphError):
             forced_value(s, (0,))
+
+    def test_coefficients_match_reference_elimination(self, bipartite8):
+        # members (a member in the span of earlier ones is the case the
+        # dependencies rows exist for), singletons and the scans' subsets
+        rng = random.Random(40)
+        systems = [star_system(g) for g in bipartite8]
+        systems += [stable_system(co_line(g).graph) for g in connected_triangle_free_graphs(6)]
+        for _ in range(60):
+            g = random_graph_with_triangle(rng.randint(4, 8), 0.4, rng)
+            systems += [star_system(g), stable_system(g)]
+        compared = dependent = 0
+        for s in systems:
+            space = solve_unit_system(s)
+            if isinstance(space, UnitSystemInfeasible):
+                continue
+            dependent += bool(space.dependencies)
+            targets = set(s.family) | {(i,) for i in range(s.ground_size)}
+            for at_most in (False, True):
+                found = _scan_forced_subsets(s.family_masks(), space.kernel_basis,
+                                             space.particular, at_most)
+                if found is not None:
+                    targets.add(found[0])
+            for t in sorted(targets):
+                cert = forced_value(s, t, space)
+                if isinstance(cert, ForcedValueCertificate):
+                    assert cert.coefficients == reference_coefficients(s, t), (s, t)
+                    compared += 1
+        assert (compared, dependent) == (2438, 55)
+
+    def test_cycle_120_under_a_second(self):
+        g = generate("cycle(120)")
+        s = star_system(g)
+        start = time.perf_counter()
+        cert = forced_value(s, edge_ids(g, ["1-2", "4-5"]))
+        assert time.perf_counter() - start < 1.0
+        assert cert.value == 1
 
     def test_forced_value_constant_over_samples(self):
         g = generate("cycle(6)")
@@ -398,8 +437,9 @@ class TestStrong:
             strong_check(star_system(generate("circulant(11,{1,3})")))
 
     def test_lp_calls_per_strong_check(self, monkeypatch):
-        # the support search takes 2-4 LPs here, plus 2 to re-verify the
-        # graph_h and petersen witnesses; one LP per element took 17-18
+        # all six have a positive max-min weight: that one LP is the whole
+        # strong check, witnesses included; the support search took 2-4 LPs
+        # plus 2 per witness, one LP per element 17-18
         calls = count_calls(monkeypatch, equicert, "lp_optimize")
         counts = {}
         for desc in ("graph_h", "petersen", "complete_bipartite(4,4)"):
@@ -410,11 +450,41 @@ class TestStrong:
                 strong_check(s)
                 counts[desc, kind] = calls[0]
         assert counts == {
-            ("graph_h", "star"): 5, ("graph_h", "co-line"): 5,
-            ("petersen", "star"): 4, ("petersen", "co-line"): 4,
-            ("complete_bipartite(4,4)", "star"): 4,
-            ("complete_bipartite(4,4)", "co-line"): 4,
+            ("graph_h", "star"): 1, ("graph_h", "co-line"): 1,
+            ("petersen", "star"): 1, ("petersen", "co-line"): 1,
+            ("complete_bipartite(4,4)", "star"): 1,
+            ("complete_bipartite(4,4)", "co-line"): 1,
         }
+
+    def test_shared_analysis_makes_no_lp_call(self, monkeypatch):
+        # graph_h: a positive max-min weight and a witness {a-b, c-d}
+        s = star_system(generate("graph_h"))
+        analysis = analyze_unit_system(s)
+        assert analysis.max_min_weight > 0
+        calls = [count_calls(monkeypatch, equicert, name) for name in
+                 ("lp_optimize", "_support_search", "check_strong_witness")]
+        v = strong_check(s, analysis)
+        assert [c[0] for c in calls] == [0, 0, 0]
+        assert v.witness == StrongWitness(target=edge_ids(generate("graph_h"), ["a-b", "c-d"]),
+                                          gamma=Fraction(1, 2))
+
+    def test_support_search_only_at_max_min_zero(self, monkeypatch, triangle_free7):
+        systems = [star_system(g) for g in triangle_free7]
+        systems += [stable_system(g) for g in triangle_free7 if g.n <= 6]
+        zeros = 0
+        for s in systems:
+            if s.ground_size > 16:
+                continue
+            analysis = analyze_unit_system(s)
+            search = count_calls(monkeypatch, equicert, "_support_search")
+            check = count_calls(monkeypatch, equicert, "check_strong_witness")
+            v = strong_check(s, analysis)
+            zero = analysis.max_min_weight == 0
+            zeros += zero
+            assert search[0] == zero
+            assert check[0] == (zero and v.is_no)
+            monkeypatch.undo()
+        assert zeros == 29
 
     def test_support_matches_reference_on_bipartite8_stars(self, bipartite8):
         for g in bipartite8:
@@ -432,6 +502,14 @@ class TestStrong:
         assert calls[0] == 2
         assert_support_matches_reference(s)
         assert strong_check(s) == yes({"support": (0, 1, 2), "subsets_checked": 7})
+
+    def test_empty_family(self):
+        # no unit equations: the solution space is all of Q^2, and no subset
+        # has to total 1
+        s = SetSystem(2, ("a", "b"), ())
+        assert solve_unit_system(s).kernel_basis == ((1, 0), (0, 1))
+        assert decide_equi_exact(s).is_yes
+        assert strong_check(s) == yes({"support": (0, 1), "subsets_checked": 3})
 
     def test_empty_polytope_from_first_lp(self, monkeypatch):
         # the five members sum to 3 but {0,2,4} + {1,3,5,6} = 2 + x6, so the

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equilab.exactla import nullspace, solve_exact
+from equilab.exactla import solve_exact
 from equilab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_optimize
 
 from conftest import dot
@@ -75,7 +75,7 @@ class TestSolveExact:
     def test_kernel_dimension_matches_sympy(self, sys_):
         sympy = pytest.importorskip("sympy")
         rows, _ = sys_
-        ker = nullspace(rows)
+        ker = solve_exact(rows, [0] * len(rows))[2]
         M = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
         assert len(ker) == len(M.nullspace())
 

@@ -15,20 +15,19 @@ from equilab.graphs import (
 )
 from equilab.matching import (
     Barrier,
-    HallViolator,
     InternalMatching,
     Matching,
     _k_matchings,
     check_barrier,
-    check_hall_violator,
     check_internal_matching,
     covered_vertices,
     extend_to_perfect_internal,
     is_k_extendable,
     is_k_internally_extendable,
-    plummer_condition,
 )
 from equilab.recognizers import recognize_equistarable_bipartite
+
+from conftest import HallViolator, check_hall_violator, plummer_condition
 
 
 @st.composite

@@ -296,6 +296,18 @@ class TestCrosscheck:
             assert stab.element_names == star.element_names, g.edges
             assert stab.same_members(star)
 
+    def test_lp_calls_on_seeded_corpus(self, monkeypatch):
+        # one max-min LP per star system, plus the support search and the
+        # witness LPs where the max-min weight is 0; re-deriving the support
+        # and re-proving every witness by LPs took 106 calls here
+        rng = random.Random(40)
+        graphs = [random_connected_triangle_free(rng.randint(6, 8), 0.3, rng)
+                  for _ in range(20)]
+        calls = count_calls(monkeypatch, equicert, "lp_optimize")
+        for g in graphs:
+            assert not crosscheck_table1(g).violations
+        assert calls[0] == 35
+
     def test_co_line_side_reuses_star_verdicts(self, monkeypatch):
         decide = count_calls(monkeypatch, equicert, "decide_equi_exact")
         strong = count_calls(monkeypatch, equicert, "strong_check")
